@@ -1,7 +1,9 @@
 //! Model-checking and fuzzing driver for the protocol family.
 //!
 //! Runs the `mcc-check` exhaustive bounded explorer over every
-//! standard protocol point, then a seeded differential fuzzing
+//! standard protocol point — the configured infinite-cache space, then
+//! the fixed finite-cache point of [`ExploreConfig::finite`], which
+//! reaches the eviction paths — then a seeded differential fuzzing
 //! campaign, and prints a machine-readable JSON summary on stdout
 //! (validated by `obs_report --modelcheck`). Counterexamples are
 //! minimized, written as replayable `.mcct` traces under
@@ -16,6 +18,7 @@ use std::path::PathBuf;
 use std::process::exit;
 use std::time::{Duration, Instant};
 
+use mcc_cache::CacheConfig;
 use mcc_check::{
     explore, fuzz, parse_directory_repr, parse_protocol, protocol_points, protocol_slug, Checker,
     CheckerConfig, Counterexample, ExploreConfig, FuzzConfig,
@@ -59,36 +62,40 @@ fn main() {
     let mut exhaustive_rows = Vec::new();
     if args.max_len > 0 && !args.planted_bug {
         for &protocol in &protocols {
-            let mut config = ExploreConfig::new(protocol);
-            config.nodes = args.nodes;
-            config.blocks = args.blocks;
-            config.max_len = args.max_len;
-            config.max_states = args.max_states;
-            config.time_budget = deadline.map(remaining);
-            config.fast_engine = args.fast_engine;
-            config.directory = args.directory;
-            let out = explore(&config);
-            eprintln!(
-                "{BIN}: exhaustive {} nodes={} blocks={} L={}: {} states, complete={}, \
-                 violations={}",
-                protocol_slug(protocol),
-                args.nodes,
-                args.blocks,
-                args.max_len,
-                out.states,
-                out.complete,
-                u64::from(out.violation.is_some()),
-            );
-            exhaustive_rows.push(Json::Obj(vec![
-                ("protocol".into(), Json::Str(protocol_slug(protocol))),
-                ("states".into(), Json::u64(out.states)),
-                ("complete".into(), Json::Bool(out.complete)),
-                (
-                    "violations".into(),
-                    Json::u64(u64::from(out.violation.is_some())),
-                ),
-            ]));
-            counterexamples.extend(out.violation);
+            let mut infinite = ExploreConfig::new(protocol);
+            infinite.nodes = args.nodes;
+            infinite.blocks = args.blocks;
+            infinite.max_len = args.max_len;
+            for mut config in [infinite, ExploreConfig::finite(protocol)] {
+                config.max_states = args.max_states;
+                config.time_budget = deadline.map(remaining);
+                config.fast_engine = args.fast_engine;
+                config.directory = args.directory;
+                let out = explore(&config);
+                let cache = cache_label(config.cache);
+                eprintln!(
+                    "{BIN}: exhaustive {} nodes={} blocks={} cache={cache} L={}: {} states, \
+                     complete={}, violations={}",
+                    protocol_slug(protocol),
+                    config.nodes,
+                    config.blocks,
+                    config.max_len,
+                    out.states,
+                    out.complete,
+                    u64::from(out.violation.is_some()),
+                );
+                exhaustive_rows.push(Json::Obj(vec![
+                    ("protocol".into(), Json::Str(protocol_slug(protocol))),
+                    ("cache".into(), Json::Str(cache)),
+                    ("states".into(), Json::u64(out.states)),
+                    ("complete".into(), Json::Bool(out.complete)),
+                    (
+                        "violations".into(),
+                        Json::u64(u64::from(out.violation.is_some())),
+                    ),
+                ]));
+                counterexamples.extend(out.violation);
+            }
         }
     }
 
@@ -167,6 +174,14 @@ fn main() {
         !counterexamples.is_empty()
     };
     exit(i32::from(failed));
+}
+
+/// `infinite`, or a finite geometry as `<sets>x<ways>`.
+fn cache_label(cache: CacheConfig) -> String {
+    match cache {
+        CacheConfig::Infinite => "infinite".into(),
+        CacheConfig::Finite(g) => format!("{}x{}", g.sets(), g.associativity()),
+    }
 }
 
 fn remaining(deadline: Instant) -> Duration {

@@ -214,16 +214,17 @@ fn report_modelcheck(path: &Path) {
 
     println!("== modelcheck: {} ==\n", path.display());
     let mut violations = 0u64;
-    let mut table = Table::new(["protocol", "states", "complete", "violations"]);
+    let mut table = Table::new(["protocol", "cache", "states", "complete", "violations"]);
     table.title("Exhaustive coverage");
     for row in exhaustive {
-        let (Some(protocol), Some(states), Some(complete), Some(v)) = (
+        let (Some(protocol), Some(cache), Some(states), Some(complete), Some(v)) = (
             row.get("protocol").and_then(Json::as_str),
+            row.get("cache").and_then(Json::as_str),
             row.get("states").and_then(Json::as_u64),
             row.get("complete"),
             row.get("violations").and_then(Json::as_u64),
         ) else {
-            fail("exhaustive row missing protocol/states/complete/violations");
+            fail("exhaustive row missing protocol/cache/states/complete/violations");
         };
         if !matches!(complete, Json::Bool(true)) {
             fail(&format!("exhaustive sweep of {protocol} was truncated"));
@@ -231,6 +232,7 @@ fn report_modelcheck(path: &Path) {
         violations += v;
         table.row([
             protocol.to_string(),
+            cache.to_string(),
             states.to_string(),
             "yes".to_string(),
             v.to_string(),

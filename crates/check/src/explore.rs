@@ -14,9 +14,17 @@
 //! every push, large enough to contain every classification pattern
 //! the paper's Figure 3 can exhibit (promotion needs at most 5
 //! references; demotion 2 more).
+//!
+//! Infinite caches never evict, so that sweep never reaches the
+//! directory's copy-dropped rule. [`ExploreConfig::finite`] is the
+//! sweep's second point: 2 nodes × 2 blocks through a 1-set × 1-way
+//! cache, where every miss on one block evicts the other, explored to
+//! its own bound of length 6 (8 symbols, so 8 + 8² + … + 8⁶ = 299 592
+//! states per protocol point).
 
 use std::time::{Duration, Instant};
 
+use mcc_cache::{CacheConfig, CacheGeometry};
 use mcc_core::Protocol;
 use mcc_trace::{Addr, MemOp, MemRef, NodeId, Trace};
 
@@ -49,10 +57,14 @@ pub struct ExploreConfig {
     /// Abort on a wall-clock budget (`complete` turns false).
     pub time_budget: Option<Duration>,
     /// Drive the fast hot-path engine instead of the reference
-    /// `DirectoryEngine` under every checker.
+    /// `DirectoryEngine` under every checker. Both engines model every
+    /// cache configuration.
     pub fast_engine: bool,
     /// Directory sharer-set representation every checker runs under.
     pub directory: mcc_core::DirectoryRepr,
+    /// Per-node cache model; finite geometries reach the eviction
+    /// (copy-dropped) paths.
+    pub cache: CacheConfig,
 }
 
 impl ExploreConfig {
@@ -68,6 +80,21 @@ impl ExploreConfig {
             time_budget: None,
             fast_engine: false,
             directory: mcc_core::DirectoryRepr::FullMap,
+            cache: CacheConfig::Infinite,
+        }
+    }
+
+    /// The finite-cache point: 2 nodes, 2 blocks, a 1-set × 1-way
+    /// cache (each node holds one line, so a miss on either block
+    /// evicts the other), traces up to length 6.
+    pub fn finite(protocol: Protocol) -> ExploreConfig {
+        let one_line = CacheGeometry::new(CHECK_BLOCK_SIZE.bytes(), CHECK_BLOCK_SIZE, 1)
+            .expect("a one-line geometry is valid");
+        ExploreConfig {
+            blocks: 2,
+            max_len: 6,
+            cache: CacheConfig::Finite(one_line),
+            ..ExploreConfig::new(protocol)
         }
     }
 }
@@ -118,6 +145,7 @@ pub fn explore(config: &ExploreConfig) -> ExploreOutcome {
     let mut cc = CheckerConfig::new(config.protocol, config.nodes);
     cc.fast_engine = config.fast_engine;
     cc.directory = config.directory;
+    cc.cache = config.cache;
     let root = Checker::new(&cc);
     let mut path = Vec::with_capacity(config.max_len);
     let violation = dfs(&root, &mut path, &mut search).map(|(trace, violation)| Counterexample {
@@ -191,6 +219,19 @@ mod tests {
         assert!(!out.complete);
         assert_eq!(out.states, 100);
         assert!(out.violation.is_none());
+    }
+
+    #[test]
+    fn finite_point_evicts_and_stays_clean_on_both_engines() {
+        for fast_engine in [false, true] {
+            let mut config = ExploreConfig::finite(Protocol::Aggressive);
+            config.max_len = 3;
+            config.fast_engine = fast_engine;
+            let out = explore(&config);
+            assert!(out.complete, "fast={fast_engine}");
+            assert_eq!(out.states, 8 + 64 + 512);
+            assert!(out.violation.is_none(), "fast={fast_engine}");
+        }
     }
 
     #[test]

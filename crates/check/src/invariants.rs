@@ -134,9 +134,8 @@ pub struct CheckerConfig {
     /// disabled — the planted bug the fuzzer fixtures hunt.
     pub spec_demotion_enabled: bool,
     /// When `true`, the checker drives the fast hot-path engine
-    /// instead of the reference `DirectoryEngine` (finite-cache
-    /// configurations fall back to the reference engine, which is the
-    /// only one modelling geometry).
+    /// instead of the reference `DirectoryEngine`. Both engines model
+    /// every cache configuration, finite geometries included.
     pub fast_engine: bool,
     /// Directory sharer-set representation under check. Residency,
     /// classification, and every other invariant are

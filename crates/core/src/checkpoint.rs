@@ -412,8 +412,7 @@ impl EngineSnapshot {
     }
 
     /// Like [`restore`](Self::restore), but rebuilds an engine of the
-    /// requested kind (with the usual finite-cache fallback to the
-    /// reference engine). Snapshots carry no engine identity, so the
+    /// requested kind. Snapshots carry no engine identity, so the
     /// capturing and restoring kinds are free to differ.
     pub(crate) fn restore_any(
         &self,

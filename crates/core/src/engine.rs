@@ -9,13 +9,20 @@
 //! runtime value so `DirectorySim`, the sharded runner, resumable runs
 //! and the bench bins can select either with one knob.
 //!
+//! Both engines run every cache configuration: with finite caches the
+//! fast engine keeps one `mcc-cache` LRU cache per node beside its dense
+//! rows, so replacement decisions are the reference engine's own. The
+//! fast engine is the production default of
+//! [`DirectorySim`](crate::DirectorySim); the reference engine is the
+//! oracle the parity suites, the model checker and the live service's
+//! replay run against.
+//!
 //! The two engines are kept bit-exact: same `SimResult`, same message
 //! counters, same event stream, same errors (see
 //! `tests/fast_engine_parity.rs` and DESIGN.md §13). Checkpoints are
 //! interchangeable because both sides convert through the same
 //! [`EngineSnapshot`].
 
-use mcc_cache::CacheConfig;
 use mcc_obs::{Event as ObsEvent, SharedSink};
 use mcc_placement::PagePlacement;
 use mcc_trace::{BlockAddr, MemRef, NodeId};
@@ -33,12 +40,12 @@ use crate::sim::{DirectoryEngine, DirectorySimConfig, LineState, StepInfo};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// The auditable HashMap-table reference implementation
-    /// ([`DirectoryEngine`](crate::DirectoryEngine)).
-    #[default]
+    /// ([`DirectoryEngine`](crate::DirectoryEngine)), kept as the
+    /// oracle the fast engine is checked against.
     Reference,
-    /// The dense struct-of-arrays hot path ([`FastEngine`]). Requires
-    /// infinite caches; configurations with finite caches silently fall
-    /// back to the reference engine.
+    /// The dense struct-of-arrays hot path ([`FastEngine`]), for every
+    /// cache configuration. The default.
+    #[default]
     Fast,
 }
 
@@ -233,12 +240,8 @@ macro_rules! dispatch {
 }
 
 impl AnyEngine {
-    /// Creates an engine of the requested kind.
-    ///
-    /// [`EngineKind::Fast`] requires infinite caches (the dense tables
-    /// model residency per block, not per cache set); configurations
-    /// with finite caches fall back to the reference engine, which is
-    /// always exact.
+    /// Creates an engine of the requested kind, for any cache
+    /// configuration.
     pub fn new(
         kind: EngineKind,
         protocol: Protocol,
@@ -246,15 +249,14 @@ impl AnyEngine {
         placement: PagePlacement,
     ) -> Self {
         match kind {
-            EngineKind::Fast if config.cache == CacheConfig::Infinite => {
-                AnyEngine::Fast(FastEngine::new(protocol, config, placement))
+            EngineKind::Fast => AnyEngine::Fast(FastEngine::new(protocol, config, placement)),
+            EngineKind::Reference => {
+                AnyEngine::Reference(DirectoryEngine::new(protocol, config, placement))
             }
-            _ => AnyEngine::Reference(DirectoryEngine::new(protocol, config, placement)),
         }
     }
 
-    /// Which implementation this engine actually runs (after any
-    /// finite-cache fallback).
+    /// Which implementation this engine runs.
     pub fn kind(&self) -> EngineKind {
         match self {
             AnyEngine::Reference(_) => EngineKind::Reference,
@@ -262,8 +264,7 @@ impl AnyEngine {
         }
     }
 
-    /// Rebuilds an engine of the requested kind from a snapshot,
-    /// applying the same finite-cache fallback as [`AnyEngine::new`].
+    /// Rebuilds an engine of the requested kind from a snapshot.
     /// Snapshots are engine-agnostic, so the captured and restoring
     /// kinds may differ.
     pub(crate) fn from_snapshot(
@@ -274,14 +275,14 @@ impl AnyEngine {
         placement: PagePlacement,
         faults: Option<FaultPlan>,
     ) -> Result<AnyEngine, String> {
-        match kind {
-            EngineKind::Fast if config.cache == CacheConfig::Infinite => Ok(AnyEngine::Fast(
-                FastEngine::from_snapshot(snap, protocol, config, placement, faults)?,
-            )),
-            _ => Ok(AnyEngine::Reference(DirectoryEngine::from_snapshot(
+        Ok(match kind {
+            EngineKind::Fast => AnyEngine::Fast(FastEngine::from_snapshot(
                 snap, protocol, config, placement, faults,
-            )?)),
-        }
+            )?),
+            EngineKind::Reference => AnyEngine::Reference(DirectoryEngine::from_snapshot(
+                snap, protocol, config, placement, faults,
+            )?),
+        })
     }
 
     /// Subjects every demand transaction to the unreliable-interconnect
@@ -405,34 +406,27 @@ impl Engine for AnyEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcc_cache::CacheGeometry;
+    use mcc_cache::{CacheConfig, CacheGeometry};
     use mcc_trace::{Addr, BlockSize, Trace};
 
     #[test]
-    fn finite_caches_fall_back_to_the_reference_engine() {
-        let config = DirectorySimConfig {
-            cache: CacheConfig::Finite(CacheGeometry::new(64, BlockSize::B16, 2).unwrap()),
-            ..DirectorySimConfig::default()
-        };
-        let e = AnyEngine::new(
-            EngineKind::Fast,
-            Protocol::Basic,
-            &config,
-            PagePlacement::round_robin(config.nodes),
-        );
-        assert_eq!(e.kind(), EngineKind::Reference);
-    }
-
-    #[test]
-    fn infinite_caches_honour_the_fast_request() {
-        let config = DirectorySimConfig::default();
-        let e = AnyEngine::new(
-            EngineKind::Fast,
-            Protocol::Basic,
-            &config,
-            PagePlacement::round_robin(config.nodes),
-        );
-        assert_eq!(e.kind(), EngineKind::Fast);
+    fn every_cache_configuration_honours_the_requested_kind() {
+        let finite = CacheConfig::Finite(CacheGeometry::new(64, BlockSize::B16, 2).unwrap());
+        for cache in [finite, CacheConfig::Infinite] {
+            let config = DirectorySimConfig {
+                cache,
+                ..DirectorySimConfig::default()
+            };
+            for kind in [EngineKind::Fast, EngineKind::Reference] {
+                let e = AnyEngine::new(
+                    kind,
+                    Protocol::Basic,
+                    &config,
+                    PagePlacement::round_robin(config.nodes),
+                );
+                assert_eq!(e.kind(), kind, "{cache:?}");
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! one open-addressing probe per reference instead of three `HashMap`
 //! lookups:
 //!
-//! * `copyset[slot]` — the holder bitset (residency ground truth: with
-//!   infinite caches, a node holds a block iff the directory says so);
+//! * `copyset[slot]` — the holder bitset (residency ground truth: a
+//!   node holds a block iff the directory says so);
 //! * `flags[slot]` — one packed `u32` carrying the directory entry
 //!   (dirty/migratory/overflowed bits, copies-created counter,
 //!   hysteresis evidence, last invalidator) plus the single-holder line
@@ -17,23 +17,33 @@
 //! * `line_version[slot]` / `mem_version[slot]` / `latest[slot]` — the
 //!   coherence checker's version slots.
 //!
-//! One `line_version` per block is exact because infinite caches make
-//! all simultaneous holders carry the same version in any non-erroring
-//! run: a write invalidates every other copy, and every service path
-//! checks the served version against the latest write. The single-slot
-//! representation also collapses per-node line state: multiple holders
-//! are all `Shared`; a single holder's state is stored in two flag
-//! bits.
+//! Finite caches add one [`SetAssocCache`] per node beside the dense
+//! rows, so the LRU policy stays in `mcc-cache` and replacement
+//! decisions match the reference engine's exactly. Each cache line
+//! holds only the block's slot id: the copyset stays the residency
+//! ground truth, and the caches exist to pick eviction victims. A
+//! victim is handled like the reference engine's `insert_line`: §3.3
+//! eviction traffic, a write-back of dirty data or a clean drop, and the
+//! directory's copy-dropped rule. With infinite caches the per-node
+//! cache list is empty and every cache hook is one untaken branch.
+//!
+//! One `line_version` per block is exact because all simultaneous
+//! holders carry the same version in any non-erroring run: a write
+//! invalidates every other copy, and every service path checks the
+//! served version against the latest write. Evictions keep this true:
+//! an eviction only removes a copy, never creates or rewrites one, so
+//! the surviving holders still carry the latest version, and a dirty
+//! victim's version is written back to `mem_version`, where the next
+//! fill is served from and checked against the latest write. The
+//! single-slot representation also collapses per-node line state:
+//! multiple holders are all `Shared`; a single holder's state is stored
+//! in two flag bits.
 //!
 //! Observability events are batched into a pending buffer and flushed
 //! once per step (on both success and error exits), preserving the
 //! reference engine's emission order.
-//!
-//! The engine requires [`CacheConfig::Infinite`](mcc_cache::CacheConfig)
-//! — dense tables model residency per block, not per cache set —
-//! which [`AnyEngine::new`](crate::AnyEngine::new) enforces by falling
-//! back to the reference engine for finite caches.
 
+use mcc_cache::{CacheConfig, SetAssocCache};
 use mcc_obs::{Event as ObsEvent, Rule, SharedSink};
 use mcc_placement::PagePlacement;
 use mcc_trace::{BlockAddr, BlockSize, MemOp, MemRef, NodeId};
@@ -45,7 +55,7 @@ use crate::error::{SimError, Violation, ViolationKind};
 use crate::faults::{
     jittered_backoff_units, AttemptOutcome, FaultInjector, FaultPlan, TransactionShape,
 };
-use crate::msg::{charge, MessageCount, OpKind};
+use crate::msg::{charge, charge_eviction, MessageCount, OpKind};
 use crate::policy::{AdaptivePolicy, Protocol};
 use crate::repr::DirectoryRepr;
 use crate::result::{EventCounts, MessageBreakdown, SimResult};
@@ -150,6 +160,10 @@ pub struct FastEngine {
     line_version: Vec<u64>,
     mem_version: Vec<u64>,
     latest: Vec<u64>,
+    /// One LRU cache per node holding resident lines' slot ids, for
+    /// finite configurations; empty with infinite caches, where the
+    /// copyset alone is residency and nothing is ever evicted.
+    caches: Vec<SetAssocCache<u32>>,
     rwitm: bool,
     faults: Option<FaultInjector>,
     steps: u64,
@@ -162,8 +176,7 @@ pub struct FastEngine {
 }
 
 impl FastEngine {
-    /// Creates a fast engine. The caller ([`AnyEngine::new`]
-    /// (crate::AnyEngine::new)) guarantees infinite caches.
+    /// Creates a fast engine for any cache configuration.
     pub(crate) fn new(
         protocol: Protocol,
         config: &DirectorySimConfig,
@@ -189,6 +202,12 @@ impl FastEngine {
             line_version: Vec::new(),
             mem_version: Vec::new(),
             latest: Vec::new(),
+            caches: match config.cache {
+                CacheConfig::Finite(geometry) => (0..config.nodes)
+                    .map(|_| SetAssocCache::new(geometry))
+                    .collect(),
+                CacheConfig::Infinite => Vec::new(),
+            },
             rwitm: false,
             faults: None,
             steps: 0,
@@ -610,8 +629,9 @@ impl FastEngine {
         home: NodeId,
         op: MemOp,
     ) -> Result<StepKind, Violation> {
-        // (The reference engine touches the LRU here; infinite caches
-        // have no replacement state.)
+        if let Some(cache) = self.caches.get_mut(n.index()) {
+            cache.touch(block);
+        }
         let state = self.holder_state(slot);
         let version = self.line_version[slot];
         self.observe(slot, block, version, "cache hit")?;
@@ -679,6 +699,7 @@ impl FastEngine {
                             if m == n {
                                 continue;
                             }
+                            self.drop_line(m, block);
                             self.events.invalidations += 1;
                             self.push_invalidation(block, m);
                         }
@@ -735,6 +756,7 @@ impl FastEngine {
                         self.mem_version[slot] = v;
                         served_from_owner = Some(v);
                     }
+                    self.drop_line(m, block);
                     self.events.invalidations += 1;
                     self.push_invalidation(block, m);
                 }
@@ -749,6 +771,7 @@ impl FastEngine {
                 self.store_entry(slot, e);
                 self.set_sstate(slot, LineState::MigratoryClean);
                 self.line_version[slot] = served;
+                self.fill(n, slot);
                 StepKind::ReadMissMigrate
             }
             MemOp::Read => {
@@ -771,6 +794,7 @@ impl FastEngine {
                             if single_dirty {
                                 self.mem_version[slot] = v;
                             }
+                            self.drop_line(owner, block);
                             self.events.invalidations += 1;
                             self.push_invalidation(block, owner);
                             v
@@ -786,6 +810,7 @@ impl FastEngine {
                         self.store_entry(slot, e);
                         self.set_sstate(slot, LineState::MigratoryClean);
                         self.line_version[slot] = served;
+                        self.fill(n, slot);
                         StepKind::ReadMissMigrate
                     }
                     ReadMissAction::Replicate => {
@@ -818,6 +843,7 @@ impl FastEngine {
                             self.set_sstate(slot, LineState::Exclusive);
                         }
                         self.line_version[slot] = served;
+                        self.fill(n, slot);
                         StepKind::ReadMissReplicate
                     }
                 }
@@ -832,6 +858,7 @@ impl FastEngine {
                         self.mem_version[slot] = v;
                         served_from_owner = Some(v);
                     }
+                    self.drop_line(m, block);
                     self.events.invalidations += 1;
                     self.push_invalidation(block, m);
                 }
@@ -856,9 +883,61 @@ impl FastEngine {
                 self.latest[slot] += 1;
                 self.set_sstate(slot, LineState::Dirty);
                 self.line_version[slot] = self.latest[slot];
+                self.fill(n, slot);
                 StepKind::WriteMiss
             }
         })
+    }
+
+    /// Places `slot`'s block in node `n`'s finite cache after a miss,
+    /// evicting the set's LRU line if it was full. No-op with infinite
+    /// caches.
+    #[inline]
+    fn fill(&mut self, n: NodeId, slot: usize) {
+        let Some(cache) = self.caches.get_mut(n.index()) else {
+            return;
+        };
+        if let Some((_, victim)) = cache.insert(self.blocks[slot], slot as u32) {
+            self.evict(n, victim as usize);
+        }
+    }
+
+    /// Drops node `n`'s copy of the victim row: mirrors the reference
+    /// engine's `insert_line` victim handling — §3.3 eviction traffic,
+    /// a write-back of dirty data or a clean drop, and the directory's
+    /// copy-dropped rule.
+    fn evict(&mut self, n: NodeId, victim: usize) {
+        debug_assert!(
+            self.copyset[victim].contains(n),
+            "evicted line not in copyset"
+        );
+        let dirty = self.copyset[victim].single().is_some()
+            && self.holder_state(victim) == LineState::Dirty;
+        self.messages.eviction += charge_eviction(self.home[victim] == n, dirty);
+        if dirty {
+            self.mem_version[victim] = self.line_version[victim];
+            self.events.writebacks += 1;
+        } else {
+            self.events.clean_drops += 1;
+        }
+        let mut e = self.entry_at(victim);
+        let rc = e.on_copy_dropped(self.policy, n);
+        self.store_entry(victim, e);
+        if self.copyset[victim].single().is_some() {
+            // One of two Shared holders left; the survivor stays Shared.
+            self.set_sstate(victim, LineState::Shared);
+        }
+        self.record_reclass(rc, self.blocks[victim], n, Rule::CopyDropped);
+    }
+
+    /// Removes node `m`'s copy of `block` from its finite cache (an
+    /// invalidation). No-op with infinite caches.
+    #[inline]
+    fn drop_line(&mut self, m: NodeId, block: BlockAddr) {
+        if let Some(cache) = self.caches.get_mut(m.index()) {
+            let removed = cache.remove(block);
+            debug_assert!(removed.is_some(), "copyset out of sync with caches");
+        }
     }
 
     fn record_reclass(&mut self, rc: Reclassification, block: BlockAddr, node: NodeId, rule: Rule) {
@@ -1011,12 +1090,37 @@ impl FastEngine {
 
     /// Sweeps the global invariants; same checks as
     /// [`DirectoryEngine::verify`](crate::DirectoryEngine::verify).
-    /// Copyset/residency agreement and the single-writer invariant hold
-    /// by representation (the copyset *is* residency, and multiple
-    /// holders are Shared by construction), so only the dirty-bit and
-    /// memory-freshness checks can fire.
+    /// The single-writer invariant holds by representation (multiple
+    /// holders are Shared by construction). With infinite caches the
+    /// copyset *is* residency; with finite caches every cache line must
+    /// name a row whose copyset holds that node, and every holder must
+    /// have the line in its cache.
     pub(crate) fn verify(&self) -> Result<(), Violation> {
         let sweep = "invariant sweep";
+        let desync = |block: BlockAddr| Violation {
+            block,
+            step: self.steps,
+            kind: ViolationKind::CopysetMismatch,
+            context: sweep,
+            entry: self.lookup(block).map(|slot| self.entry_at(slot)),
+        };
+        for (node, cache) in NodeId::first(self.nodes).zip(&self.caches) {
+            for (block, &slot) in cache.iter() {
+                let slot = slot as usize;
+                if self.blocks.get(slot) != Some(&block) || !self.copyset[slot].contains(node) {
+                    return Err(desync(block));
+                }
+            }
+        }
+        if !self.caches.is_empty() {
+            for (slot, &block) in self.blocks.iter().enumerate() {
+                for m in self.copyset[slot].iter() {
+                    if self.caches[m.index()].get(block) != Some(&(slot as u32)) {
+                        return Err(desync(block));
+                    }
+                }
+            }
+        }
         for slot in 0..self.blocks.len() {
             let holders = &self.copyset[slot];
             let any_dirty =
@@ -1063,8 +1167,9 @@ impl FastEngine {
     /// would capture in the same state: directory, memory-version and
     /// latest-version rows in block order (version rows only where the
     /// reference engine's maps would hold a key — every insertion there
-    /// carries a version ≥ 1), cache rows per node in block order
-    /// (the infinite cache's `snapshot_lines` order).
+    /// carries a version ≥ 1), cache rows per node in the reference
+    /// caches' `snapshot_lines` order: least-recently-used first for
+    /// finite caches, block order for infinite ones.
     pub(crate) fn snapshot(&self) -> EngineSnapshot {
         let mut order: Vec<usize> = (0..self.blocks.len()).collect();
         order.sort_unstable_by_key(|&s| self.blocks[s].index());
@@ -1082,22 +1187,36 @@ impl FastEngine {
             .filter(|&&s| self.latest[s] > 0)
             .map(|&s| (self.blocks[s].index(), self.latest[s]))
             .collect();
-        let caches = (0..self.nodes)
-            .map(|node| {
-                let node = NodeId::new(node);
-                order
-                    .iter()
-                    .filter(|&&s| self.copyset[s].contains(node))
-                    .map(|&s| {
-                        (
-                            self.blocks[s].index(),
-                            self.holder_state(s),
-                            self.line_version[s],
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
+        let line = |s: usize| {
+            (
+                self.blocks[s].index(),
+                self.holder_state(s),
+                self.line_version[s],
+            )
+        };
+        let caches = if self.caches.is_empty() {
+            (0..self.nodes)
+                .map(|node| {
+                    let node = NodeId::new(node);
+                    order
+                        .iter()
+                        .filter(|&&s| self.copyset[s].contains(node))
+                        .map(|&s| line(s))
+                        .collect()
+                })
+                .collect()
+        } else {
+            self.caches
+                .iter()
+                .map(|cache| {
+                    cache
+                        .iter_lru_first()
+                        .into_iter()
+                        .map(|(_, &slot)| line(slot as usize))
+                        .collect()
+                })
+                .collect()
+        };
         EngineSnapshot {
             rwitm: self.rwitm,
             steps: self.steps,
@@ -1177,6 +1296,11 @@ impl FastEngine {
                     }
                 }
                 restored[slot].insert(node);
+                if let Some(cache) = engine.caches.get_mut(node_idx) {
+                    if cache.insert(block, slot as u32).is_some() {
+                        return Err("cache snapshot does not fit the configured geometry".into());
+                    }
+                }
             }
         }
         for (slot, residency) in restored.iter().enumerate() {
@@ -1367,6 +1491,32 @@ mod tests {
         assert_eq!(restored.snapshot(), snap);
         assert_eq!(restored.steps(), engine.steps());
         assert_eq!(restored.messages(), engine.messages());
+    }
+
+    #[test]
+    fn verify_cross_checks_finite_caches_against_copysets() {
+        let config = DirectorySimConfig {
+            cache: CacheConfig::Finite(
+                mcc_cache::CacheGeometry::new(32, BlockSize::B16, 2).unwrap(),
+            ),
+            ..DirectorySimConfig::default()
+        };
+        let mut engine = FastEngine::new(
+            Protocol::Basic,
+            &config,
+            PagePlacement::round_robin(config.nodes),
+        );
+        for b in 0..3u64 {
+            engine.step(MemRef::read(NodeId::new(1), Addr::new(b * 16)));
+        }
+        // Two ways: the third read evicted the first block.
+        assert_eq!(engine.events().clean_drops, 1);
+        engine.verify().unwrap();
+        let block = Addr::new(16).block(BlockSize::B16);
+        engine.caches[1].remove(block);
+        let v = engine.verify().unwrap_err();
+        assert_eq!(v.kind, ViolationKind::CopysetMismatch);
+        assert_eq!(v.block, block);
     }
 
     #[test]

@@ -241,7 +241,7 @@ impl DirectorySim {
             protocol,
             config: *config,
             faults: None,
-            engine: EngineKind::Reference,
+            engine: EngineKind::default(),
         }
     }
 
@@ -254,10 +254,10 @@ impl DirectorySim {
     }
 
     /// Selects the engine implementation for the run (the default is
-    /// [`EngineKind::Reference`]). Both implementations are bit-exact
-    /// (see `tests/fast_engine_parity.rs`); [`EngineKind::Fast`] is the
-    /// dense hot path and requires infinite caches — finite-cache
-    /// configurations silently fall back to the reference engine.
+    /// [`EngineKind::Fast`], the dense hot path, for every cache
+    /// configuration). Both implementations are bit-exact (see
+    /// `tests/fast_engine_parity.rs`); [`EngineKind::Reference`] selects
+    /// the auditable oracle.
     ///
     /// The engine kind is a performance knob, not part of a run's
     /// identity: checkpoints taken under one engine resume under the
@@ -267,8 +267,9 @@ impl DirectorySim {
         self
     }
 
-    /// The engine implementation [`with_engine`](Self::with_engine)
-    /// selected (before any finite-cache fallback).
+    /// The engine implementation the run uses: the one
+    /// [`with_engine`](Self::with_engine) selected, or
+    /// [`EngineKind::Fast`] by default.
     pub fn engine_kind(&self) -> EngineKind {
         self.engine
     }

@@ -58,8 +58,11 @@ use crate::sim::{DirectorySim, DirectorySimConfig, PlacementPolicy};
 use crate::storage::{RealStorage, Storage};
 
 /// Magic + format version header of a streaming checkpoint file:
-/// `MCCS`, version 1, three bytes of padding (the MCCT convention).
-pub const STREAM_CHECKPOINT_MAGIC: [u8; 8] = *b"MCCS\x01\0\0\0";
+/// `MCCR` (resumable stream), version 1, three bytes of padding (the
+/// MCCT convention). Distinct from every other on-disk magic, so a
+/// live shard snapshot (`MCCS`) handed to [`StreamCheckpoint::load`]
+/// fails as bad magic instead of mis-decoding.
+pub const STREAM_CHECKPOINT_MAGIC: [u8; 8] = *b"MCCR\x01\0\0\0";
 
 fn trace_err(e: ReadTraceError) -> SimError {
     SimError::TraceUnreadable {

@@ -7,13 +7,19 @@
 //! panic, and never an allocation sized by corrupt data. A snapshot
 //! that parses but belongs to a different run is rejected with a typed
 //! [`SimError::BadCheckpoint`] before any state is rebuilt from it.
+//! Every on-disk format opens with its own magic, so a file of one kind
+//! handed to another kind's loader fails at the header.
 
 use mcc::core::checkpoint::CHECKPOINT_MAGIC;
 use mcc::core::{
-    Checkpoint, CheckpointError, DirectorySim, DirectorySimConfig, FaultPlan, Protocol, SimError,
+    AnyEngine, Checkpoint, CheckpointError, DirectorySim, DirectorySimConfig, Engine, EngineKind,
+    EngineSnapshot, FaultPlan, Protocol, RealStorage, SimError, StreamCheckpoint,
+    STREAM_CHECKPOINT_MAGIC,
 };
-use mcc::execsim::{ExecCheckpoint, ExecSim, ExecSimConfig};
-use mcc::trace::{Addr, MemRef, NodeId, Trace};
+use mcc::execsim::{ExecCheckpoint, ExecSim, ExecSimConfig, EXEC_CHECKPOINT_MAGIC};
+use mcc::placement::PagePlacement;
+use mcc::trace::{Addr, MemRef, NodeId, Trace, TRACE_MAGIC, TRACE_MAGIC_V1};
+use mcc_live::wal::{save_snapshot, SHARD_SNAPSHOT_MAGIC, WAL_MAGIC};
 use mcc_prng::SplitMix64;
 
 fn sample_trace(nodes: u16) -> Trace {
@@ -338,4 +344,44 @@ fn exec_checkpoints_survive_the_same_corruption_sweep() {
     // An MCCK checkpoint is not an MCCX checkpoint, and vice versa.
     let err = ExecCheckpoint::read_from(&mut &sample_bytes()[..]).unwrap_err();
     assert!(matches!(err, CheckpointError::BadMagic), "got {err}");
+}
+
+#[test]
+fn every_on_disk_magic_is_distinct() {
+    let magics = [
+        ("TRACE_MAGIC", TRACE_MAGIC),
+        ("TRACE_MAGIC_V1", TRACE_MAGIC_V1),
+        ("CHECKPOINT_MAGIC", CHECKPOINT_MAGIC),
+        ("STREAM_CHECKPOINT_MAGIC", STREAM_CHECKPOINT_MAGIC),
+        ("EXEC_CHECKPOINT_MAGIC", EXEC_CHECKPOINT_MAGIC),
+        ("WAL_MAGIC", WAL_MAGIC),
+        ("SHARD_SNAPSHOT_MAGIC", SHARD_SNAPSHOT_MAGIC),
+    ];
+    for (i, (a, ma)) in magics.iter().enumerate() {
+        for (b, mb) in &magics[i + 1..] {
+            assert_ne!(ma, mb, "{a} and {b} share a magic");
+        }
+    }
+}
+
+#[test]
+fn a_live_shard_snapshot_is_not_a_stream_checkpoint() {
+    let config = DirectorySimConfig::default();
+    let mut engine = AnyEngine::new(
+        EngineKind::Fast,
+        Protocol::Aggressive,
+        &config,
+        PagePlacement::round_robin(config.nodes),
+    );
+    engine.step(MemRef::write(NodeId::new(1), Addr::new(0)));
+    let dir = std::env::temp_dir().join(format!("mcc-magic-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("shard0.snap");
+    save_snapshot(&RealStorage, &path, &EngineSnapshot::capture(&engine), 1).unwrap();
+    let err = StreamCheckpoint::load(&path).unwrap_err();
+    assert!(
+        matches!(err, CheckpointError::BadMagic),
+        "a shard snapshot must fail as bad magic, got {err:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,12 +4,14 @@
 //! states and version tags, same event stream, same errors, and the
 //! same final `SimResult` — across all nine protocol points, every
 //! placement policy, faulted and fault-free fabrics, sequential and
-//! sharded.
+//! sharded, with infinite caches and with finite caches that evict
+//! (a 1-set x 2-way cache and the paper's 4 KB and 64 KB geometries).
 //!
 //! The fast engine earns its keep only if "fast" never means
 //! "different": any divergence here is a bug in the hot path, full
 //! stop.
 
+use mcc::cache::{CacheConfig, CacheGeometry};
 use mcc::core::{
     AnyEngine, DirectorySim, DirectorySimConfig, Engine, EngineKind, FaultPlan, PlacementPolicy,
     Protocol,
@@ -29,16 +31,50 @@ fn config() -> DirectorySimConfig {
     }
 }
 
+/// The finite geometries under test: one that evicts on every set
+/// conflict, and the paper's 4 KB and 64 KB 4-way caches.
+fn finite_geometries() -> [(&'static str, CacheConfig); 3] {
+    let paper = |kb: u64| {
+        CacheConfig::Finite(CacheGeometry::paper_default(kb * 1024, BlockSize::B16).unwrap())
+    };
+    [
+        (
+            "1x2",
+            CacheConfig::Finite(CacheGeometry::new(32, BlockSize::B16, 2).unwrap()),
+        ),
+        ("4k", paper(4)),
+        ("64k", paper(64)),
+    ]
+}
+
+fn finite_config(cache: CacheConfig) -> DirectorySimConfig {
+    DirectorySimConfig { cache, ..config() }
+}
+
+/// Block-index stride that maps all `BLOCKS` trace blocks into one
+/// cache set, so even the paper geometries evict (8 blocks, 4 ways).
+fn conflict_stride(cache: CacheConfig) -> u64 {
+    match cache {
+        CacheConfig::Finite(g) => g.sets(),
+        CacheConfig::Infinite => 1,
+    }
+}
+
 /// A deterministic mixed trace: migratory hand-offs, read-shared
 /// scans, write bursts and random traffic — enough to drive every
 /// protocol action (migrate, replicate, upgrades, invalidation
 /// broadcasts, reclassifications) over a small block set.
 fn parity_trace(seed: u64, len: usize) -> Trace {
+    strided_parity_trace(seed, len, 1)
+}
+
+/// [`parity_trace`] with block `b` placed at block index `b * stride`.
+fn strided_parity_trace(seed: u64, len: usize, stride: u64) -> Trace {
     let mut rng = mcc_prng::SplitMix64::new(seed);
     let mut t = Trace::new();
     while t.len() < len {
         let node = NodeId::new(rng.gen_range(0..u64::from(NODES)) as u16);
-        let addr = Addr::new(rng.gen_range(0..BLOCKS) * 16);
+        let addr = Addr::new(rng.gen_range(0..BLOCKS) * stride * 16);
         if rng.chance_ppm(350_000) {
             // Migratory visit: read then write from one node.
             t.push(MemRef::read(node, addr));
@@ -59,11 +95,11 @@ fn parity_trace(seed: u64, len: usize) -> Trace {
 
 fn engine_pair(
     protocol: Protocol,
+    cfg: &DirectorySimConfig,
     faults: Option<FaultPlan>,
 ) -> ((AnyEngine, SharedBuffer), (AnyEngine, SharedBuffer)) {
     let build = |kind: EngineKind| {
-        let mut engine =
-            AnyEngine::new(kind, protocol, &config(), PagePlacement::round_robin(NODES));
+        let mut engine = AnyEngine::new(kind, protocol, cfg, PagePlacement::round_robin(NODES));
         if let Some(plan) = faults {
             engine = engine.with_faults(plan);
         }
@@ -73,7 +109,7 @@ fn engine_pair(
     };
     let reference = build(EngineKind::Reference);
     let fast = build(EngineKind::Fast);
-    assert_eq!(fast.0.kind(), EngineKind::Fast, "no fallback expected");
+    assert_eq!(fast.0.kind(), EngineKind::Fast);
     (reference, fast)
 }
 
@@ -87,7 +123,21 @@ fn drain(buffer: &SharedBuffer) -> Vec<Event> {
 /// observable after every reference. Returns early (comparing the
 /// errors) if both engines reject a step.
 fn lockstep(protocol: Protocol, faults: Option<FaultPlan>, trace: &Trace, label: &str) {
-    let ((mut reference, ref_events), (mut fast, fast_events)) = engine_pair(protocol, faults);
+    lockstep_with(protocol, &config(), faults, trace, label);
+}
+
+/// [`lockstep`] under an explicit configuration. After every accepted
+/// step the engines' snapshots must also match, which pins whole-engine
+/// state — eviction victims' directory entries, write-backs and LRU
+/// order included — not just the referenced block.
+fn lockstep_with(
+    protocol: Protocol,
+    cfg: &DirectorySimConfig,
+    faults: Option<FaultPlan>,
+    trace: &Trace,
+    label: &str,
+) {
+    let ((mut reference, ref_events), (mut fast, fast_events)) = engine_pair(protocol, cfg, faults);
     for (i, r) in trace.iter().enumerate() {
         let want = reference.try_step(*r);
         let got = fast.try_step(*r);
@@ -141,6 +191,11 @@ fn lockstep(protocol: Protocol, faults: Option<FaultPlan>, trace: &Trace, label:
             // implementation-defined (failed runs are discarded).
             return;
         }
+        assert_eq!(
+            reference.snapshot(),
+            fast.snapshot(),
+            "{label} step {i} ({r}): engine state diverged"
+        );
     }
     // The reference engine's within-node line order is HashMap
     // iteration order; sort by (node, block) before comparing.
@@ -350,5 +405,127 @@ fn telemetry_plane_is_inert_and_observes() {
             2 * trace.len() as u64,
             "{protocol}: the plane missed records despite inert results"
         );
+    }
+}
+
+#[test]
+fn lockstep_parity_with_finite_caches() {
+    for (geometry, cache) in finite_geometries() {
+        let cfg = finite_config(cache);
+        let trace = strided_parity_trace(0x0f1_a17e, 600, conflict_stride(cache));
+        for protocol in protocol_points() {
+            lockstep_with(
+                protocol,
+                &cfg,
+                None,
+                &trace,
+                &format!("{protocol} {geometry} clean"),
+            );
+        }
+    }
+}
+
+#[test]
+fn lockstep_parity_with_finite_caches_under_injected_faults() {
+    for (geometry, cache) in finite_geometries() {
+        let cfg = finite_config(cache);
+        let trace = strided_parity_trace(0xfa_0f1e, 400, conflict_stride(cache));
+        for protocol in protocol_points() {
+            for (seed, ppm) in [(11, 40_000), (99, 450_000)] {
+                lockstep_with(
+                    protocol,
+                    &cfg,
+                    Some(FaultPlan::uniform(seed, ppm)),
+                    &trace,
+                    &format!("{protocol} {geometry} faults({seed},{ppm})"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn finite_cache_lockstep_actually_evicts() {
+    // The finite parity tests would pass vacuously if nothing were ever
+    // evicted; every geometry must write back, drop clean copies and,
+    // at some protocol point, reclassify under the copy-dropped rule.
+    for (geometry, cache) in finite_geometries() {
+        let trace = strided_parity_trace(0x0f1_a17e, 600, conflict_stride(cache));
+        let mut copy_dropped = 0;
+        for protocol in protocol_points() {
+            let sim = DirectorySim::new(protocol, &finite_config(cache));
+            let (buffer, handle) = shared(BufferSink::new());
+            let result = sim.try_run_with_sink(&trace, handle).expect("finite run");
+            assert!(
+                result.events.writebacks > 0,
+                "{protocol} {geometry}: no write-backs"
+            );
+            assert!(
+                result.events.clean_drops > 0,
+                "{protocol} {geometry}: no clean drops"
+            );
+            copy_dropped += drain(&buffer)
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e,
+                        Event::Promote { rule, .. } | Event::Demote { rule, .. }
+                            if *rule == mcc::obs::Rule::CopyDropped
+                    )
+                })
+                .count();
+        }
+        assert!(
+            copy_dropped > 0,
+            "{geometry}: no copy-dropped reclassification"
+        );
+    }
+}
+
+#[test]
+fn finite_cache_checkpoints_cross_restore_with_identical_continuations() {
+    // A mid-run snapshot taken under either engine is byte-identical to
+    // the other's and, restored into either engine, continues with the
+    // same event stream and the same final result.
+    for (geometry, cache) in finite_geometries() {
+        let cfg = finite_config(cache);
+        let trace = strided_parity_trace(0xc0_ffee, 500, conflict_stride(cache));
+        for protocol in protocol_points() {
+            for faults in [None, Some(FaultPlan::uniform(5, 60_000))] {
+                let sim = |kind: EngineKind| {
+                    let sim = DirectorySim::new(protocol, &cfg).with_engine(kind);
+                    match faults {
+                        Some(plan) => sim.with_faults(plan),
+                        None => sim,
+                    }
+                };
+                let (reference, fast) = (sim(EngineKind::Reference), sim(EngineKind::Fast));
+                let straight = reference.try_run(&trace);
+                assert_eq!(straight, fast.try_run(&trace), "{protocol} {geometry}");
+                let Ok(straight) = straight else { continue };
+                for cut in [1u64, 137, 250, 499] {
+                    let label = format!(
+                        "{protocol} {geometry} faults={} cut {cut}",
+                        faults.is_some()
+                    );
+                    let from_reference =
+                        reference.checkpoint_after(&trace, 1, cut).expect("prefix");
+                    let from_fast = fast.checkpoint_after(&trace, 1, cut).expect("prefix");
+                    assert_eq!(from_reference, from_fast, "{label}: snapshots differ");
+                    let continuation = |resume: &DirectorySim| {
+                        let (buffer, handle) = shared(BufferSink::new());
+                        let result = resume
+                            .resume_from_with_sinks(&trace, &from_reference, None, &[handle])
+                            .expect("resume");
+                        (result, drain(&buffer))
+                    };
+                    let (on_reference, ref_stream) = continuation(&reference);
+                    let (on_fast, fast_stream) = continuation(&fast);
+                    assert_eq!(on_reference, straight, "{label}: reference continuation");
+                    assert_eq!(on_fast, straight, "{label}: reference -> fast continuation");
+                    assert_eq!(ref_stream, fast_stream, "{label}: continuations diverged");
+                }
+            }
+        }
     }
 }

@@ -1,6 +1,8 @@
 //! Golden regression numbers: exact message totals at a pinned
 //! configuration (16 nodes, 16 B blocks, infinite caches, profiled
-//! placement, scale 0.1, seed 42).
+//! placement, scale 0.1, seed 42), plus a finite-cache slice of Table 2
+//! (4 KB and 64 KB 4-way LRU caches, scale 0.05, seed 42) pinned as
+//! full per-cause message breakdowns.
 //!
 //! Everything in the pipeline is deterministic, so any drift here means
 //! the workload generators or a protocol changed behaviour. After an
@@ -8,7 +10,11 @@
 //! `cargo run --release -p mcc-bench --bin golden_dump` and update the
 //! table.
 
-use mcc::core::{DirectoryRepr, DirectorySim, DirectorySimConfig, EngineKind, Protocol};
+use mcc::cache::{CacheConfig, CacheGeometry};
+use mcc::core::{
+    DirectoryRepr, DirectorySim, DirectorySimConfig, EngineKind, MessageBreakdown, Protocol,
+};
+use mcc::trace::BlockSize;
 use mcc::workloads::{Workload, WorkloadParams};
 
 /// Directory representation the goldens run under: `MCC_TEST_REPR`
@@ -297,6 +303,165 @@ fn pinned_message_totals() {
                      from the golden count"
                 );
             }
+        }
+    }
+}
+
+/// One finite-cache golden row: `(cache KB, workload, breakdowns)`,
+/// one breakdown per [`Protocol::PAPER_SET`] column, each as
+/// `[read-miss control, read-miss data, write-miss control, write-miss
+/// data, write-hit control, write-hit data, eviction control, eviction
+/// data]`.
+type FiniteRow = (u64, Workload, [[u64; 8]; 4]);
+
+/// Table 2's 4 KB and 64 KB sections at a small scale, regenerated with
+/// `golden_dump` (no arguments). Evictions, write-backs and the
+/// copy-dropped reclassification all feed these numbers, so they pin
+/// the finite-cache path of whichever engine runs them.
+const FINITE_GOLDEN: &[FiniteRow] = &[
+    (
+        4,
+        Workload::Cholesky,
+        [
+            [406665, 406665, 393711, 393047, 10762, 0, 398569, 393081],
+            [406665, 406665, 393711, 393047, 3850, 0, 398569, 393081],
+            [406665, 406665, 393711, 393047, 3714, 0, 398512, 393081],
+            [406666, 406666, 393709, 393045, 32, 0, 396661, 393080],
+        ],
+    ),
+    (
+        4,
+        Workload::LocusRoute,
+        [
+            [155748, 155748, 22190, 17822, 75156, 0, 115867, 28241],
+            [155981, 155981, 20510, 17420, 30248, 0, 110989, 27686],
+            [156003, 156003, 20377, 17385, 25664, 0, 110321, 27637],
+            [156007, 156007, 20301, 17373, 2944, 0, 109723, 27616],
+        ],
+    ),
+    (
+        4,
+        Workload::Mp3d,
+        [
+            [634997, 634997, 76707, 73391, 1072696, 0, 96991, 461281],
+            [636267, 636267, 73249, 72127, 195068, 0, 83038, 459927],
+            [636579, 636579, 72303, 71849, 122622, 0, 78289, 459609],
+            [636836, 636836, 71688, 71662, 0, 0, 73220, 459352],
+        ],
+    ),
+    (
+        4,
+        Workload::Pthor,
+        [
+            [554412, 554412, 754395, 154787, 394366, 0, 55434, 128500],
+            [555460, 555460, 744025, 155053, 187792, 0, 55322, 128499],
+            [557508, 557508, 722496, 155592, 162654, 0, 55153, 128498],
+            [557520, 557520, 722417, 155593, 130032, 0, 54892, 128489],
+        ],
+    ),
+    (
+        4,
+        Workload::Water,
+        [
+            [339907, 339907, 102233, 101437, 416870, 0, 130872, 298563],
+            [340048, 340048, 101551, 101437, 66114, 0, 127989, 298400],
+            [340064, 340064, 101499, 101437, 41488, 0, 127779, 298384],
+            [340067, 340067, 101461, 101437, 448, 0, 127584, 298375],
+        ],
+    ),
+    (
+        64,
+        Workload::Cholesky,
+        [
+            [576171, 576171, 244489, 212419, 445008, 0, 334662, 208045],
+            [584895, 584895, 212991, 202765, 143738, 0, 237621, 199024],
+            [587067, 587067, 206779, 200861, 83312, 0, 218802, 196849],
+            [588993, 588993, 199591, 198891, 54, 0, 201085, 194921],
+        ],
+    ),
+    (
+        64,
+        Workload::LocusRoute,
+        [
+            [158655, 158655, 51437, 13373, 121650, 0, 45702, 12036],
+            [158655, 158655, 51441, 13373, 48698, 0, 45270, 11995],
+            [158660, 158660, 51479, 13373, 42394, 0, 44995, 11986],
+            [158678, 158678, 51350, 13374, 27574, 0, 43917, 11945],
+        ],
+    ),
+    (
+        64,
+        Workload::Mp3d,
+        [
+            [1026743, 1026743, 8876, 5038, 2026830, 0, 11318, 44419],
+            [1028113, 1028113, 7188, 4896, 298028, 0, 8959, 41609],
+            [1028499, 1028499, 6319, 4863, 178476, 0, 7745, 41219],
+            [1028931, 1028931, 5047, 4811, 10, 0, 6108, 40786],
+        ],
+    ),
+    (
+        64,
+        Workload::Pthor,
+        [
+            [595573, 595573, 767206, 154764, 481280, 0, 12328, 79412],
+            [596630, 596630, 756737, 155029, 203808, 0, 12324, 79407],
+            [598709, 598709, 735002, 155578, 173010, 0, 12291, 79400],
+            [599122, 599122, 734869, 155579, 136416, 0, 10943, 79151],
+        ],
+    ),
+    (
+        64,
+        Workload::Water,
+        [
+            [586440, 586440, 224, 196, 1167562, 0, 924, 1398],
+            [587640, 587640, 193, 191, 248906, 0, 264, 1166],
+            [587696, 587696, 193, 191, 166662, 0, 212, 1153],
+            [587727, 587727, 193, 191, 118578, 0, 207, 1157],
+        ],
+    ),
+];
+
+fn breakdown_cells(m: &MessageBreakdown) -> [u64; 8] {
+    [
+        m.read_miss.control,
+        m.read_miss.data,
+        m.write_miss.control,
+        m.write_miss.data,
+        m.write_hit.control,
+        m.write_hit.data,
+        m.eviction.control,
+        m.eviction.data,
+    ]
+}
+
+#[test]
+fn pinned_finite_cache_breakdowns() {
+    let params = WorkloadParams::new(16).scale(0.05).seed(42);
+    let engine = test_engine();
+    let mut traces = std::collections::HashMap::new();
+    for &(kb, app, expected) in FINITE_GOLDEN {
+        let geometry = CacheGeometry::paper_default(kb * 1024, BlockSize::B16)
+            .expect("paper cache sizes are valid");
+        let cfg = DirectorySimConfig {
+            cache: CacheConfig::Finite(geometry),
+            ..DirectorySimConfig::default()
+        };
+        let trace = traces.entry(app).or_insert_with(|| app.generate(&params));
+        for (protocol, want) in Protocol::PAPER_SET.into_iter().zip(expected) {
+            let result = DirectorySim::new(protocol, &cfg)
+                .with_engine(engine)
+                .run(trace);
+            assert_eq!(
+                breakdown_cells(&result.messages),
+                want,
+                "{kb} KB {app}/{protocol} ({engine:?}): message breakdown drifted \
+                 (update via golden_dump if the change was intentional)"
+            );
+            assert_eq!(
+                result.messages.overhead().total(),
+                0,
+                "{kb} KB {app}/{protocol}: a reliable fabric charged fault overhead"
+            );
         }
     }
 }

@@ -33,20 +33,31 @@ fn bounded_exhaustive_sweep_is_clean_through_the_fast_engine() {
     // The same bounded space, explored with the fast hot-path engine
     // under every checker: the sweep must stay complete and clean, so
     // the fast path proves itself against the specification — not just
-    // against the reference implementation.
+    // against the reference implementation. The finite-cache point
+    // (2 nodes x 2 blocks through a one-line cache) takes the fast
+    // engine through its eviction and copy-dropped paths.
     for protocol in protocol_points() {
-        let mut config = ExploreConfig::new(protocol);
-        config.max_len = 7;
-        config.fast_engine = true;
-        let out = explore(&config);
-        assert!(out.complete, "{} sweep truncated", protocol_slug(protocol));
-        assert_eq!(out.states, 4 + 16 + 64 + 256 + 1024 + 4096 + 16384);
-        assert!(
-            out.violation.is_none(),
-            "{}: {}",
-            protocol_slug(protocol),
-            out.violation.unwrap().violation
-        );
+        let mut infinite = ExploreConfig::new(protocol);
+        infinite.max_len = 7;
+        let finite = ExploreConfig::finite(protocol);
+        let finite_states = (1..=finite.max_len as u32).map(|l| 8u64.pow(l)).sum();
+        let sweeps = [
+            (infinite, 4 + 16 + 64 + 256 + 1024 + 4096 + 16384),
+            (finite, finite_states),
+        ];
+        for (mut config, states) in sweeps {
+            config.fast_engine = true;
+            let out = explore(&config);
+            assert!(out.complete, "{} sweep truncated", protocol_slug(protocol));
+            assert_eq!(out.states, states);
+            assert!(
+                out.violation.is_none(),
+                "{} ({:?}): {}",
+                protocol_slug(protocol),
+                config.cache,
+                out.violation.unwrap().violation
+            );
+        }
     }
 }
 

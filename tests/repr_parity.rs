@@ -11,17 +11,18 @@
 //!   data values, message self-consistency, classification legality,
 //!   demotion rule) clean at every one of the nine standard protocol
 //!   points, on both engines, including the exhaustive L=8 bounded
-//!   sweep;
+//!   sweep, and with finite caches that evict;
 //! * **parity** — on a shared workload, every representation produces
 //!   bit-identical residency, classification, and event counts
 //!   (`broadcast_invalidations` excepted, which exists to count
 //!   overflow), identical *data* message counts, and control traffic
 //!   no lower than the precise full map's.
 
+use mcc::cache::{CacheConfig, CacheGeometry};
 use mcc::core::{
     DirectoryRepr, DirectorySim, DirectorySimConfig, EngineKind, EventCounts, Protocol, SimResult,
 };
-use mcc::trace::{Addr, MemRef, NodeId, Trace};
+use mcc::trace::{Addr, BlockSize, MemRef, NodeId, Trace};
 use mcc_check::{
     explore, protocol_points, protocol_slug, repr_points, Checker, CheckerConfig, ExploreConfig,
 };
@@ -30,27 +31,58 @@ use mcc_check::{
 /// regime: wide read-sharing (overflows 1-pointer entries, spans
 /// 2-node regions), migratory hand-offs, and producer republishes.
 fn lattice_trace(nodes: u16) -> Trace {
+    strided_lattice_trace(nodes, 1)
+}
+
+/// [`lattice_trace`] with object `o` at block index `o * stride`: a
+/// stride of a cache's set count puts every object in one set. With a
+/// stride above one, each round also ends with every node reading
+/// three private blocks of that set, so even 4-way geometries evict
+/// shared and migratory copies.
+fn strided_lattice_trace(nodes: u16, stride: u64) -> Trace {
     let mut t = Trace::new();
     for round in 0..5u64 {
         // Migratory objects handed node to node.
         for obj in 0..4u64 {
             let n = NodeId::new(((round + obj) % u64::from(nodes)) as u16);
-            t.push(MemRef::read(n, Addr::new(obj * 16)));
-            t.push(MemRef::write(n, Addr::new(obj * 16)));
+            t.push(MemRef::read(n, Addr::new(obj * stride * 16)));
+            t.push(MemRef::write(n, Addr::new(obj * stride * 16)));
         }
         // Widely shared blocks: every node reads, then one writes —
         // the invalidation must fan out to the whole copy set.
         for obj in 4..6u64 {
             for n in 0..nodes {
-                t.push(MemRef::read(NodeId::new(n), Addr::new(obj * 16)));
+                t.push(MemRef::read(NodeId::new(n), Addr::new(obj * stride * 16)));
             }
             t.push(MemRef::write(
                 NodeId::new((round % u64::from(nodes)) as u16),
-                Addr::new(obj * 16),
+                Addr::new(obj * stride * 16),
             ));
+        }
+        if stride > 1 {
+            for n in 0..nodes {
+                for k in 0..3 {
+                    let obj = 6 + u64::from(n) * 3 + k;
+                    t.push(MemRef::read(NodeId::new(n), Addr::new(obj * stride * 16)));
+                }
+            }
         }
     }
     t
+}
+
+/// The finite geometries of the representation axis: a 1-set x 2-way
+/// cache that evicts on every conflict, and the paper's 4 KB and 64 KB
+/// 4-way caches, each paired with the block stride that maps the
+/// lattice's objects into one set.
+fn finite_geometries() -> [(&'static str, CacheConfig, u64); 3] {
+    let paper = |kb: u64| CacheGeometry::paper_default(kb * 1024, BlockSize::B16).unwrap();
+    let tiny = CacheGeometry::new(32, BlockSize::B16, 2).unwrap();
+    [
+        ("1x2", CacheConfig::Finite(tiny), tiny.sets()),
+        ("4k", CacheConfig::Finite(paper(4)), paper(4).sets()),
+        ("64k", CacheConfig::Finite(paper(64)), paper(64).sets()),
+    ]
 }
 
 #[test]
@@ -86,6 +118,30 @@ fn lockstep_suite_passes_for_every_repr_through_the_fast_engine() {
                 protocol_slug(protocol),
                 result.unwrap_err()
             );
+        }
+    }
+}
+
+#[test]
+fn lockstep_suite_passes_for_every_repr_with_finite_caches_on_both_engines() {
+    for (geometry, cache, stride) in finite_geometries() {
+        let trace = strided_lattice_trace(4, stride);
+        for protocol in protocol_points() {
+            for repr in repr_points() {
+                for fast_engine in [false, true] {
+                    let mut config = CheckerConfig::new(protocol, 4);
+                    config.directory = repr;
+                    config.cache = cache;
+                    config.fast_engine = fast_engine;
+                    let result = Checker::new(&config).run(&trace);
+                    assert!(
+                        result.is_ok(),
+                        "{} under {repr}, {geometry} (fast={fast_engine}): {}",
+                        protocol_slug(protocol),
+                        result.unwrap_err()
+                    );
+                }
+            }
         }
     }
 }
@@ -236,23 +292,33 @@ fn imprecise_reprs_actually_overflow_and_charge_more() {
 
 #[test]
 fn engines_agree_bit_exactly_under_every_repr() {
-    let trace = lattice_trace(8);
-    for protocol in Protocol::PAPER_SET {
-        for repr in repr_points() {
-            let cfg = DirectorySimConfig {
-                nodes: 8,
-                directory: repr,
-                ..DirectorySimConfig::default()
-            };
-            let reference = DirectorySim::new(protocol, &cfg)
-                .with_engine(EngineKind::Reference)
-                .try_run(&trace)
-                .expect("reference run");
-            let fast = DirectorySim::new(protocol, &cfg)
-                .with_engine(EngineKind::Fast)
-                .try_run(&trace)
-                .expect("fast run");
-            assert_eq!(reference, fast, "{protocol} under {repr}");
+    let caches = std::iter::once(("infinite", CacheConfig::Infinite, 1)).chain(finite_geometries());
+    for (geometry, cache, stride) in caches {
+        let trace = strided_lattice_trace(8, stride);
+        for protocol in protocol_points() {
+            for repr in repr_points() {
+                let cfg = DirectorySimConfig {
+                    nodes: 8,
+                    directory: repr,
+                    cache,
+                    ..DirectorySimConfig::default()
+                };
+                let reference = DirectorySim::new(protocol, &cfg)
+                    .with_engine(EngineKind::Reference)
+                    .try_run(&trace)
+                    .expect("reference run");
+                let fast = DirectorySim::new(protocol, &cfg)
+                    .with_engine(EngineKind::Fast)
+                    .try_run(&trace)
+                    .expect("fast run");
+                assert_eq!(reference, fast, "{protocol} under {repr}, {geometry}");
+                if cache != CacheConfig::Infinite {
+                    assert!(
+                        reference.events.writebacks + reference.events.clean_drops > 0,
+                        "{protocol} under {repr}, {geometry}: nothing was evicted"
+                    );
+                }
+            }
         }
     }
 }
