@@ -274,8 +274,8 @@ fn render(cx: &Counterexample, args: &Args) {
         ..mcc_core::DirectorySimConfig::default()
     };
     let (recorder, handle) = shared(FlightRecorder::new(DEFAULT_RING));
-    let outcome =
-        mcc_core::DirectorySim::new(cx.protocol, &config).try_run_with_sink(&cx.trace, handle);
+    let sim = mcc_core::DirectorySim::new(cx.protocol, &config);
+    let outcome = sim.runner(&cx.trace).sinks(&[handle]).run();
     if let Err(e) = outcome {
         eprintln!("{BIN}: engine replay itself failed: {e}");
     }

@@ -250,12 +250,14 @@ fn main() {
         &sim_config(args.nodes, DirectoryRepr::FullMap),
     )
     .with_engine(EngineKind::Fast);
-    let sequential = gate_sim.try_run_stream(&prefix).unwrap_or_else(|e| {
+    let sequential = gate_sim.runner(&prefix).run().unwrap_or_else(|e| {
         eprintln!("{BIN}: prefix run failed: {e}");
         exit(1);
     });
     let sharded = gate_sim
-        .try_run_stream_sharded(&prefix, args.shards)
+        .runner(&prefix)
+        .shards(args.shards)
+        .run()
         .unwrap_or_else(|e| {
             eprintln!("{BIN}: sharded prefix run failed: {e}");
             exit(1);
@@ -275,14 +277,16 @@ fn main() {
     // --- Gate 2: kill-and-resume through a re-created stream. ---
     let cut = args.prefix / 2;
     let ckpt = gate_sim
-        .stream_checkpoint_after(&prefix, args.shards, cut)
+        .checkpoint_after(&prefix, args.shards, cut)
         .unwrap_or_else(|e| {
             eprintln!("{BIN}: checkpoint at {cut} failed: {e}");
             exit(1);
         });
     let reopened = TraceStream::from_generator(args.prefix, move |i| scale_record(i, nodes));
     let resumed = gate_sim
-        .resume_stream_from(&reopened, &ckpt, None)
+        .runner(&reopened)
+        .resume(&ckpt)
+        .run()
         .unwrap_or_else(|e| {
             eprintln!("{BIN}: resume from {cut} failed: {e}");
             exit(1);
@@ -302,7 +306,9 @@ fn main() {
             .with_engine(EngineKind::Fast);
         let started = Instant::now();
         let result = sim
-            .try_run_stream_sharded(&stream, args.shards)
+            .runner(&stream)
+            .shards(args.shards)
+            .run()
             .unwrap_or_else(|e| {
                 eprintln!("{BIN}: {repr} run failed: {e}");
                 exit(1);

@@ -10,18 +10,22 @@
 //!
 //! Scenarios:
 //!
-//! * **sequential** — a checkpointed single-process simulation
-//!   ([`DirectorySim::run_resumable_on`]) over a migratory trace. A
-//!   machine-scope kill collapses every file to its durable image; the
-//!   restart loads the snapshot with last-good `.prev` fallback (or
-//!   reruns fresh when the cut predates the first publish) and must
-//!   reproduce the uninterrupted [`SimResult`] exactly.
+//! * **sequential** — checkpointed single-process simulations
+//!   ([`Run::checkpoint`] on [`Run::storage`]) of a migratory trace,
+//!   twice: materialized with one shard, and as a generator stream with
+//!   two shards publishing into one snapshot file. A machine-scope kill
+//!   collapses every file to its durable image; the restart loads the
+//!   snapshot with last-good `.prev` fallback (or reruns fresh when the
+//!   cut predates the first publish) and must reproduce the
+//!   uninterrupted [`SimResult`](mcc_core::SimResult) exactly. Which
+//!   shard's publish a kill interrupts in the streamed sweep depends on
+//!   thread scheduling; every interruption must recover.
 //! * **live** — the live service with a durable per-shard WAL
 //!   ([`WalConfig::with_storage`]). A file-scope kill crashes the one
 //!   shard whose I/O hit the kill-point; its replacement incarnation
 //!   salvages the WAL's torn tail, reconciles acked-but-uncommitted
 //!   records, and the whole run must still pass its own differential
-//!   replay verification ([`LiveReport::ok`]).
+//!   replay verification ([`LiveReport::ok`](mcc_live::LiveReport::ok)).
 //!
 //! The sweep prints a JSON report (`--out FILE` to also write it) and
 //! exits non-zero if any op index left an unrecovered state. `--stride
@@ -36,10 +40,10 @@ use std::time::Instant;
 use mcc_core::storage::KILLED_MARKER;
 use mcc_core::{
     ChaosStorage, Checkpoint, CheckpointError, CheckpointPolicy, DirectorySim, DirectorySimConfig,
-    KillScope, Protocol, SimError, SnapshotGeneration, StorageFaultPlan,
+    KillScope, Protocol, Run, SimError, SnapshotGeneration, StorageFaultPlan,
 };
 use mcc_live::{run_live, LiveConfig, WalConfig, WalStats};
-use mcc_trace::{Addr, MemRef, NodeId, Trace};
+use mcc_trace::{Addr, MemRef, NodeId, Trace, TraceStream};
 
 const BIN: &str = "torture";
 
@@ -112,7 +116,7 @@ fn main() {
     let args = parse_args();
     let mut reports = Vec::new();
     if matches!(args.scenario, Scenario::Sequential | Scenario::Both) {
-        reports.push(sequential_sweep(&args));
+        reports.extend(sequential_sweeps(&args));
     }
     if matches!(args.scenario, Scenario::Live | Scenario::Both) {
         reports.push(live_sweep(&args));
@@ -142,21 +146,25 @@ fn main() {
     exit(i32::from(!ok));
 }
 
-/// A migratory sharing trace: blocks handed read-then-write from node
-/// to node — the access pattern the paper's adaptive protocols exist
-/// for, and the one that exercises every [`StepKind`] the checkpoint
+/// Record `i` of a migratory sharing trace over 8 nodes and 24 blocks:
+/// blocks handed read-then-write from node to node — the access
+/// pattern the paper's adaptive protocols exist for, and the one that
+/// exercises every [`StepKind`](mcc_core::StepKind) the checkpoint
 /// encodes.
-fn migratory_trace(nodes: u16, blocks: u64, rounds: u64) -> Trace {
-    let mut trace = Trace::new();
-    for round in 0..rounds {
-        for block in 0..blocks {
-            let node = NodeId::new(((round + block) % u64::from(nodes)) as u16);
-            trace.push(MemRef::read(node, Addr::new(block * 64)));
-            trace.push(MemRef::write(node, Addr::new(block * 64)));
-        }
+fn migratory_record(i: u64) -> MemRef {
+    const NODES: u64 = 8;
+    const BLOCKS: u64 = 24;
+    let (round, block) = (i / (2 * BLOCKS), (i / 2) % BLOCKS);
+    let node = NodeId::new(((round + block) % NODES) as u16);
+    if i.is_multiple_of(2) {
+        MemRef::read(node, Addr::new(block * 64))
+    } else {
+        MemRef::write(node, Addr::new(block * 64))
     }
-    trace
 }
+
+/// Records in the migratory trace: 64 rounds over every block.
+const MIGRATORY_RECORDS: u64 = 64 * 24 * 2;
 
 /// Whether a simulation error is the kill-point firing (possibly
 /// wrapped in a `BadCheckpoint` reason by the snapshot ledger).
@@ -164,29 +172,48 @@ fn sim_error_is_kill(e: &SimError) -> bool {
     e.to_string().contains(KILLED_MARKER)
 }
 
-fn sequential_sweep(args: &Args) -> SweepReport {
-    let started = Instant::now();
+/// The sequential scenario: the materialized K=1 run, then the
+/// generator-stream K=2 run.
+fn sequential_sweeps(args: &Args) -> Vec<SweepReport> {
     let cfg = DirectorySimConfig {
         nodes: 8,
         ..DirectorySimConfig::default()
     };
     let sim = DirectorySim::new(Protocol::Aggressive, &cfg);
-    let trace = migratory_trace(8, 24, 64);
-    let ckpt_path = Path::new("torture/seq.ckpt");
+    let trace: Trace = (0..MIGRATORY_RECORDS).map(migratory_record).collect();
+    let stream = TraceStream::from_generator(MIGRATORY_RECORDS, migratory_record);
+    vec![
+        checkpointed_sweep(args, "sequential", sim.runner(&trace), "torture/seq.ckpt"),
+        checkpointed_sweep(
+            args,
+            "sequential-stream-k2",
+            sim.runner(&stream).shards(2),
+            "torture/seq-stream.ckpt",
+        ),
+    ]
+}
+
+fn checkpointed_sweep(args: &Args, name: &'static str, run: Run<'_>, path: &str) -> SweepReport {
+    let started = Instant::now();
+    let ckpt_path = Path::new(path);
     let policy = CheckpointPolicy::new(200, ckpt_path);
+    let fresh = |storage: &Arc<ChaosStorage>| {
+        run.clone()
+            .checkpoint(&policy)
+            .storage(Arc::clone(storage) as _)
+            .run()
+    };
 
     // Counting pass: fault-free, so this is also the reference result.
-    let counter = ChaosStorage::new(StorageFaultPlan::reliable(args.seed));
-    let reference = sim
-        .run_resumable_on(&trace, 1, &policy, &counter)
-        .unwrap_or_else(|e| {
-            eprintln!("{BIN}: sequential counting pass failed: {e}");
-            exit(2);
-        });
+    let counter = Arc::new(ChaosStorage::new(StorageFaultPlan::reliable(args.seed)));
+    let reference = fresh(&counter).unwrap_or_else(|e| {
+        eprintln!("{BIN}: {name} counting pass failed: {e}");
+        exit(2);
+    });
     let ops_total = counter.stats().ops;
 
     let mut report = SweepReport {
-        name: "sequential",
+        name,
         ops_total,
         swept: 0,
         stride: args.stride,
@@ -207,16 +234,16 @@ fn sequential_sweep(args: &Args) -> SweepReport {
         // Vary the seed per index so crash draws (how much unsynced
         // tail survives, how many pending namespace ops wrote back)
         // explore different outcomes across the sweep.
-        let storage = ChaosStorage::new(StorageFaultPlan::kill_at(
+        let storage = Arc::new(ChaosStorage::new(StorageFaultPlan::kill_at(
             args.seed.wrapping_add(n),
             n,
             KillScope::Machine,
-        ));
-        match sim.run_resumable_on(&trace, 1, &policy, &storage) {
+        )));
+        match fresh(&storage) {
             Ok(result) if !storage.stats().killed => {
                 // The run finished under the kill threshold (can only
-                // happen when op counts drift; sequential is
-                // deterministic, so treat a drift as a finding).
+                // happen when op counts drift; the op count does not
+                // depend on scheduling, so treat a drift as a finding).
                 if result == reference {
                     report.completed_before_kill += 1;
                 } else {
@@ -241,10 +268,14 @@ fn sequential_sweep(args: &Args) -> SweepReport {
             }
         }
         // Restart on the surviving durable state.
-        let resumed = match Checkpoint::load_with_fallback_from(&storage, ckpt_path) {
+        let resumed = match Checkpoint::load_with_fallback_from(&*storage, ckpt_path) {
             Ok(recovered) => {
-                let outcome =
-                    sim.resume_from_on(&trace, &recovered.checkpoint, Some(&policy), &storage);
+                let outcome = run
+                    .clone()
+                    .resume(&recovered.checkpoint)
+                    .checkpoint(&policy)
+                    .storage(Arc::clone(&storage) as _)
+                    .run();
                 match recovered.generation {
                     SnapshotGeneration::Current => report.recovered_current += 1,
                     SnapshotGeneration::Previous => report.recovered_prev += 1,
@@ -255,7 +286,7 @@ fn sequential_sweep(args: &Args) -> SweepReport {
                 // The cut predates the first durable publish: rerunning
                 // from scratch is the correct (and reported) recovery.
                 report.fresh_rerun += 1;
-                sim.run_resumable_on(&trace, 1, &policy, &storage)
+                fresh(&storage)
             }
             Err(e) => {
                 report.unrecovered.push(format!(

@@ -127,20 +127,20 @@ pub fn try_run_protocol_traced(
     if opts.obs.is_active() {
         return crate::obs::run_observed(&sim, trace, shards, opts);
     }
-    if let Some(path) = &opts.resume {
-        let (checkpoint, generation) = load_resume_checkpoint(path)?;
-        return sim
-            .resume_from(trace, &checkpoint, opts.checkpoint.as_ref())
-            .map(|r| (r, Some(generation)));
+    let resume = opts
+        .resume
+        .as_deref()
+        .map(load_resume_checkpoint)
+        .transpose()?;
+    let mut run = sim
+        .runner(trace)
+        .shards(shards)
+        .checkpoint(&opts.checkpoint);
+    if let Some((checkpoint, _)) = &resume {
+        run = run.resume(checkpoint);
     }
-    if let Some(policy) = &opts.checkpoint {
-        return sim.run_resumable(trace, shards, policy).map(|r| (r, None));
-    }
-    if shards > 1 {
-        sim.try_run_sharded(trace, shards).map(|r| (r, None))
-    } else {
-        sim.try_run(trace).map(|r| (r, None))
-    }
+    run.run()
+        .map(|r| (r, resume.map(|(_, generation)| generation)))
 }
 
 /// Loads a resume snapshot with last-good fallback: a primary that

@@ -3,9 +3,9 @@
 //! When a binary asks for `--events-out`, `--metrics-out`, or
 //! `--events-ring`, the router takes this module's path instead of the
 //! plain one: it builds one sink per shard (sharded engines must never
-//! contend on a single sink), runs the simulation through the
-//! `*_with_sinks` entry points, merges the captured streams in shard
-//! index order, and writes the requested artifacts. On failure it
+//! contend on a single sink), attaches them to the run, merges the
+//! captured streams in shard index order, and writes the requested
+//! artifacts. On failure it
 //! additionally renders the flight recorder — the last-K events plus
 //! the offending block's classification timeline — onto stderr, so a
 //! dead run leaves behind the "what was the protocol doing" context the
@@ -108,10 +108,9 @@ impl Capture {
     }
 }
 
-/// The instrumented router path: mirrors `try_run_protocol`'s
-/// resume/checkpoint/sharded/sequential routing but runs every leg
-/// through the `*_with_sinks` entry points, then writes the requested
-/// artifacts and renders the flight recorder if the run died.
+/// The instrumented router path: `try_run_protocol`'s run with one sink
+/// per shard attached, then writes the requested artifacts and renders
+/// the flight recorder if the run died.
 pub(crate) fn run_observed(
     sim: &DirectorySim,
     trace: &Trace,
@@ -119,28 +118,25 @@ pub(crate) fn run_observed(
     opts: &RunOptions,
 ) -> Result<(SimResult, Option<mcc_core::SnapshotGeneration>), SimError> {
     let obs = &opts.obs;
-    if let Some(path) = &opts.resume {
-        let (checkpoint, generation) = crate::experiments::load_resume_checkpoint(path)?;
-        // A resumed run replays the snapshot's own shard layout, so the
-        // sink count must match the snapshot, not the --shards flag.
-        let capture = Capture::new(obs, checkpoint.shard_count());
-        let outcome = sim.resume_from_with_sinks(
-            trace,
-            &checkpoint,
-            opts.checkpoint.as_ref(),
-            &capture.handles,
-        );
-        return finish(obs, &capture, outcome).map(|r| (r, Some(generation)));
-    }
+    let resume = opts
+        .resume
+        .as_deref()
+        .map(crate::experiments::load_resume_checkpoint)
+        .transpose()?;
+    // A resumed run replays the snapshot's own shard layout, so the
+    // sink count must match the snapshot, not the --shards flag.
+    let shards = resume.as_ref().map_or(shards, |(c, _)| c.shard_count());
     let capture = Capture::new(obs, shards);
-    let outcome = if let Some(policy) = &opts.checkpoint {
-        sim.run_resumable_with_sinks(trace, shards, policy, &capture.handles)
-    } else if shards > 1 {
-        sim.try_run_sharded_with_sinks(trace, shards, &capture.handles)
-    } else {
-        sim.try_run_with_sink(trace, capture.handles[0].clone())
-    };
-    finish(obs, &capture, outcome).map(|r| (r, None))
+    let mut run = sim
+        .runner(trace)
+        .shards(shards)
+        .sinks(&capture.handles)
+        .checkpoint(&opts.checkpoint);
+    if let Some((checkpoint, _)) = &resume {
+        run = run.resume(checkpoint);
+    }
+    let outcome = run.run();
+    finish(obs, &capture, outcome).map(|r| (r, resume.map(|(_, generation)| generation)))
 }
 
 /// Writes the requested artifacts from the captured stream (on success

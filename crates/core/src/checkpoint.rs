@@ -3,16 +3,18 @@
 //! Long sweeps — four protocols × fault rates × shard counts over
 //! multi-minute traces — should survive a panic, a wedged machine, or
 //! an operator Ctrl-C without losing completed work. This module
-//! provides a versioned, checksummed binary snapshot of a run in
-//! flight: the [`DirectoryEngine`]'s complete coherence state (cache
-//! residency in LRU order, directory entries, version tables), the
+//! provides the one versioned, checksummed binary snapshot of a run in
+//! flight, for materialized traces and streams alike: the
+//! [`DirectoryEngine`]'s complete coherence state (cache residency in
+//! LRU order, directory entries, version tables), the
 //! [`FaultInjector`](crate::FaultInjector) PRNG stream position, the
-//! accumulated message/event counters, and the trace cursor at a record
-//! boundary. [`DirectorySim::run_resumable`] writes snapshots every N
-//! records; [`DirectorySim::resume_from`] replays only the tail. A
-//! resumed run is **bit-exact** against the uninterrupted run — same
-//! [`SimResult`], regardless of where the kill landed — a property the
-//! `resume_equivalence` integration tests check at every record
+//! accumulated message/event counters, and each shard's cursor.
+//! [`Run::checkpoint`](crate::Run::checkpoint) writes snapshots as a
+//! run goes; [`Run::resume`](crate::Run::resume) replays only the tail.
+//! A resumed run is **bit-exact** against the uninterrupted run — same
+//! [`SimResult`](crate::SimResult), regardless of where the kill
+//! landed — a property the `resume_equivalence` and
+//! `stream_equivalence` integration tests check at every record
 //! boundary.
 //!
 //! # On-disk format
@@ -23,38 +25,38 @@
 //! malformed.
 //!
 //! ```text
-//! "MCCK" 0x02 0x00 0x00 0x00   magic + format version + padding
+//! "MCCK" 0x03 0x00 0x00 0x00   magic + format version + padding
 //! u64   payload length
 //! u64   FNV-1a-64 checksum of the payload
-//! [u8]  payload (protocol, configuration echo, per-shard snapshots)
+//! [u8]  payload (protocol, configuration echo, fault plan, record
+//!       total, source identity, per-shard cursors and engine states)
 //! ```
 //!
-//! The payload opens with the protocol, the full simulator
-//! configuration, and the fault plan; [`DirectorySim::resume_from`]
-//! refuses a snapshot whose identity does not match the run being
-//! resumed (different trace, protocol, configuration, fault plan, or
-//! shard count) with [`SimError::BadCheckpoint`]. Each shard records a
-//! fingerprint of its sub-trace, so resuming against the wrong trace —
-//! or the right trace partitioned into the wrong number of shards — is
-//! caught before any state is rebuilt. Corrupt files (truncation, bit
-//! flips, wrong magic, wrong version) are rejected with a typed
-//! [`CheckpointError`], never a panic.
+//! Every cursor is an **absolute record index** into the run's source:
+//! a shard has applied every record it owns below its cursor. Absolute
+//! indices mean the same thing in every shard and for every source, so
+//! a materialized trace and a stream share the format, and a resumed
+//! stream seeks each shard straight to its cursor. The source identity
+//! is [`trace_fingerprint`] for a materialized trace and the probe
+//! [`stream_fingerprint`] for a stream. Resuming refuses a snapshot
+//! whose identity does not match the run (different source, protocol,
+//! configuration, fault plan, or shard count) with
+//! [`SimError::BadCheckpoint`] before any state is rebuilt. Corrupt
+//! files (truncation, bit flips, wrong magic, wrong version) are
+//! rejected with a typed [`CheckpointError`], never a panic.
 //!
-//! What is *not* captured: the trace itself (the caller must supply the
-//! identical trace; only its fingerprint is stored) and the page
-//! placement (recomputed deterministically from the full trace, exactly
-//! as an uninterrupted run would).
+//! What is *not* captured: the records themselves (the caller must
+//! supply the identical source; only its identity is stored) and the
+//! page placement (recomputed deterministically from the full source,
+//! exactly as an uninterrupted run would).
 
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-use std::thread;
 
 use mcc_cache::{CacheConfig, CacheGeometry};
-use mcc_obs::{Event as ObsEvent, SharedSink};
 use mcc_placement::PagePlacement;
-use mcc_trace::{BlockSize, Trace};
+use mcc_trace::{BlockSize, MemRef, ReadTraceError, Trace, TraceStream};
 
 use crate::directory::{CopiesCreated, CopySet, DirEntry};
 use crate::engine::{AnyEngine, Engine, EngineKind};
@@ -62,19 +64,19 @@ use crate::error::SimError;
 use crate::faults::{FaultPlan, FaultRates};
 use crate::policy::{AdaptivePolicy, Protocol};
 use crate::repr::DirectoryRepr;
-use crate::result::{EventCounts, MessageBreakdown, SimResult};
-use crate::sim::{DirectoryEngine, DirectorySim, DirectorySimConfig, LineState, PlacementPolicy};
+use crate::result::{EventCounts, MessageBreakdown};
+use crate::sim::{DirectoryEngine, DirectorySimConfig, LineState, PlacementPolicy};
 use crate::storage::{RealStorage, Storage};
 
 use mcc_trace::NodeId;
 
 /// Magic + format version header of a checkpoint file: `MCCK`, version
-/// 2, three bytes of padding (the MCCT convention). Version 2 widened
-/// the copy-set wire form from a single presence word to a word list
-/// (machines above 64 nodes) and added the coarse-vector and sparse
-/// directory-representation tags; version-1 files are rejected as
+/// 3, three bytes of padding (the MCCT convention). Version 3 made
+/// every cursor absolute and added the record total and source
+/// identity, so streamed and materialized runs share one format;
+/// earlier versions are rejected as
 /// [`CheckpointError::UnsupportedVersion`].
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"MCCK\x02\0\0\0";
+pub const CHECKPOINT_MAGIC: [u8; 8] = *b"MCCK\x03\0\0\0";
 
 /// Why a checkpoint file could not be read or written.
 ///
@@ -170,12 +172,9 @@ impl From<io::Error> for CheckpointError {
 /// cryptographic; it detects the accidental corruption (truncation,
 /// bit rot, interrupted writes) a crash-recovery path must survive.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    let mut h = Fnv::new();
+    h.bytes(bytes);
+    h.0
 }
 
 /// Appends a little-endian `u16` to a payload under construction.
@@ -333,19 +332,70 @@ fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), Che
     r.read_exact(buf).map_err(CheckpointError::from)
 }
 
-/// A position-independent fingerprint of a trace: length plus FNV-1a
-/// over every record's `(node, op, addr)`. Stored per shard so a
-/// checkpoint refuses to resume against a different trace — or the same
-/// trace partitioned differently.
-pub fn trace_fingerprint(trace: &Trace) -> u64 {
-    let mut bytes = Vec::with_capacity(8 + trace.len() * 11);
-    put_u64(&mut bytes, trace.len() as u64);
-    for r in trace.iter() {
-        put_u16(&mut bytes, r.node.index() as u16);
-        bytes.push(u8::from(r.op.is_write()));
-        put_u64(&mut bytes, r.addr.get());
+/// A streaming FNV-1a-64 hasher: the same value [`fnv1a_64`] gives the
+/// concatenated bytes, without holding them.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
-    fnv1a_64(&bytes)
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn record(&mut self, r: &MemRef) {
+        self.bytes(&(r.node.index() as u16).to_le_bytes());
+        self.bytes(&[u8::from(r.op.is_write())]);
+        self.bytes(&r.addr.get().to_le_bytes());
+    }
+}
+
+/// The identity of a materialized trace: FNV-1a over the length and
+/// every record's `(node, op, addr)`. Stored in a checkpoint so it
+/// refuses to resume against a different trace.
+pub fn trace_fingerprint(trace: &Trace) -> u64 {
+    let mut h = Fnv::new();
+    h.bytes(&(trace.len() as u64).to_le_bytes());
+    for r in trace.iter() {
+        h.record(r);
+    }
+    h.0
+}
+
+/// The identity of a stream: FNV-1a over the total record count and up
+/// to 64 `(index, node, op, addr)` probes at evenly spaced absolute
+/// indices, first and last included. Any shard filter on `stream` is
+/// ignored — identity belongs to the underlying trace.
+///
+/// A checkpoint cannot carry an 11 GB trace, and re-hashing a billion
+/// records on resume would defeat the O(1) seek, so the probe is O(64)
+/// for any trace length; collisions require agreeing on the count *and*
+/// all sampled records, which no accidental corruption (and no honest
+/// re-configuration mistake) does.
+///
+/// # Errors
+///
+/// [`ReadTraceError`] when a probe cannot be read.
+pub fn stream_fingerprint(stream: &TraceStream) -> Result<u64, ReadTraceError> {
+    let total = stream.len();
+    let mut h = Fnv::new();
+    h.bytes(&total.to_le_bytes());
+    let probes = 64u64.min(total);
+    for k in 0..probes {
+        let i = if probes == 1 {
+            0
+        } else {
+            ((u128::from(k) * u128::from(total - 1)) / u128::from(probes - 1)) as u64
+        };
+        h.bytes(&i.to_le_bytes());
+        h.record(&stream.record_at(i)?);
+    }
+    Ok(h.0)
 }
 
 // ---------------------------------------------------------------------
@@ -866,42 +916,45 @@ pub(crate) fn decode_fault_plan(
 // Checkpoints
 // ---------------------------------------------------------------------
 
-/// One shard's progress: how far into its sub-trace it got, the
-/// sub-trace's fingerprint, and the engine state at that boundary.
+/// One shard's progress: the absolute record index its next pass
+/// resumes from (every owned record below it is applied) and the engine
+/// state at that boundary.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardSnapshot {
     pub(crate) cursor: u64,
-    pub(crate) trace_len: u64,
-    pub(crate) trace_hash: u64,
     pub(crate) engine: EngineSnapshot,
 }
 
 impl ShardSnapshot {
-    /// Records of this shard's sub-trace already processed.
+    /// Absolute record index the shard resumes from.
     pub fn cursor(&self) -> u64 {
         self.cursor
     }
-
-    /// Records in this shard's sub-trace.
-    pub fn trace_len(&self) -> u64 {
-        self.trace_len
-    }
 }
 
-/// A complete, resumable snapshot of a directory simulation in flight.
+/// A complete, resumable snapshot of a directory simulation in flight,
+/// over a materialized trace or a stream.
 ///
-/// Produced by [`DirectorySim::run_resumable`] (written to disk every N
-/// records) and [`DirectorySim::checkpoint_after`]; consumed by
-/// [`DirectorySim::resume_from`]. Carries the run's identity (protocol,
-/// configuration, fault plan, shard count) so a snapshot cannot be
-/// silently applied to the wrong run.
+/// Written by runs with a [`CheckpointPolicy`] and by
+/// [`DirectorySim::checkpoint_after`](crate::DirectorySim::checkpoint_after); consumed by
+/// [`Run::resume`](crate::Run::resume). Carries the run's identity
+/// (protocol, configuration, fault plan, record total, source identity,
+/// shard count) so a snapshot cannot be silently applied to the wrong
+/// run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Checkpoint {
     pub(crate) protocol: Protocol,
     pub(crate) config: DirectorySimConfig,
     pub(crate) faults: Option<FaultPlan>,
+    pub(crate) total: u64,
+    pub(crate) identity: u64,
     pub(crate) shards: Vec<ShardSnapshot>,
 }
+
+/// The name the stream API gives [`Checkpoint`]: streamed and
+/// materialized runs share one format. Kept because `perfbench/` calls
+/// it.
+pub type StreamCheckpoint = Checkpoint;
 
 impl Checkpoint {
     /// The protocol the snapshotted run simulates.
@@ -919,20 +972,37 @@ impl Checkpoint {
         &self.shards
     }
 
-    /// Total records already processed across all shards.
-    pub fn completed_records(&self) -> u64 {
-        self.shards.iter().map(|s| s.cursor).sum()
-    }
-
-    /// Total records of the partitioned trace.
+    /// Total records in the run's source.
     pub fn total_records(&self) -> u64 {
-        self.shards.iter().map(|s| s.trace_len).sum()
+        self.total
     }
 
-    /// Whether every shard has consumed its whole sub-trace (resuming
+    /// Whether every shard has consumed the whole source (resuming
     /// returns the final result without replaying anything).
     pub fn is_complete(&self) -> bool {
-        self.shards.iter().all(|s| s.cursor == s.trace_len)
+        self.shards.iter().all(|s| s.cursor == self.total)
+    }
+
+    /// The structural conditions every snapshot must meet: at least one
+    /// shard, no cursor past the end, no shard that stepped more records
+    /// than its cursor covers, and a sequential shard that stepped
+    /// exactly its cursor.
+    pub(crate) fn check_shape(&self) -> Result<(), &'static str> {
+        if self.shards.is_empty() {
+            return Err("checkpoint with zero shards");
+        }
+        for s in &self.shards {
+            if s.cursor > self.total {
+                return Err("cursor beyond the record total");
+            }
+            if s.engine.steps > s.cursor {
+                return Err("engine steps beyond cursor");
+            }
+            if self.shards.len() == 1 && s.engine.steps != s.cursor {
+                return Err("engine steps disagree with cursor");
+            }
+        }
+        Ok(())
     }
 
     /// Serializes the checkpoint to a writer.
@@ -945,11 +1015,11 @@ impl Checkpoint {
         encode_protocol(&mut payload, self.protocol);
         encode_config(&mut payload, &self.config);
         encode_fault_plan(&mut payload, self.faults.as_ref());
+        put_u64(&mut payload, self.total);
+        put_u64(&mut payload, self.identity);
         put_u32(&mut payload, self.shards.len() as u32);
         for s in &self.shards {
             put_u64(&mut payload, s.cursor);
-            put_u64(&mut payload, s.trace_len);
-            put_u64(&mut payload, s.trace_hash);
             s.engine.encode_into(&mut payload);
         }
         write_envelope(w, CHECKPOINT_MAGIC, &payload)
@@ -968,39 +1038,27 @@ impl Checkpoint {
         let protocol = decode_protocol(&mut r)?;
         let config = decode_config(&mut r)?;
         let faults = decode_fault_plan(&mut r)?;
+        let total = r.u64()?;
+        let identity = r.u64()?;
         let count = r.u32()?;
-        let count = r.check_count(u64::from(count), 24)?;
+        let count = r.check_count(u64::from(count), 8)?;
         let mut shards = Vec::with_capacity(count);
         for _ in 0..count {
             let cursor = r.u64()?;
-            let trace_len = r.u64()?;
-            let trace_hash = r.u64()?;
             let engine = EngineSnapshot::decode(&mut r)?;
-            if cursor > trace_len {
-                return Err(CheckpointError::Corrupt("cursor beyond sub-trace length"));
-            }
-            if engine.steps != cursor {
-                return Err(CheckpointError::Corrupt(
-                    "engine steps disagree with cursor",
-                ));
-            }
-            shards.push(ShardSnapshot {
-                cursor,
-                trace_len,
-                trace_hash,
-                engine,
-            });
-        }
-        if shards.is_empty() {
-            return Err(CheckpointError::Corrupt("checkpoint with zero shards"));
+            shards.push(ShardSnapshot { cursor, engine });
         }
         r.finish()?;
-        Ok(Checkpoint {
+        let checkpoint = Checkpoint {
             protocol,
             config,
             faults,
+            total,
+            identity,
             shards,
-        })
+        };
+        checkpoint.check_shape().map_err(CheckpointError::Corrupt)?;
+        Ok(checkpoint)
     }
 
     /// Writes the checkpoint to `path` durably and atomically, keeping
@@ -1149,7 +1207,7 @@ pub struct RecoveredCheckpoint {
     pub primary_error: Option<CheckpointError>,
 }
 
-pub(crate) fn sibling_tmp_path(path: &Path) -> PathBuf {
+fn sibling_tmp_path(path: &Path) -> PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(".tmp");
     path.with_file_name(name)
@@ -1163,13 +1221,13 @@ pub fn prev_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// When and where [`DirectorySim::run_resumable`] writes snapshots.
+/// When and where a run writes snapshots.
 #[derive(Clone, Debug)]
 pub struct CheckpointPolicy {
-    /// Snapshot every `every` records (per shard, measured from the
-    /// start of the sub-trace, so resumed runs checkpoint at the same
-    /// boundaries). `0` disables periodic snapshots; the final complete
-    /// snapshot is still written.
+    /// Snapshot a shard whenever its absolute cursor crosses a multiple
+    /// of `every` records, so resumed runs and every shard count
+    /// checkpoint at the same boundaries. `0` disables periodic
+    /// snapshots; the final complete snapshot is still written.
     pub every: u64,
     /// File the snapshot is (atomically) written to.
     pub path: PathBuf,
@@ -1185,487 +1243,11 @@ impl CheckpointPolicy {
     }
 }
 
-// ---------------------------------------------------------------------
-// Resumable runs
-// ---------------------------------------------------------------------
-
-/// Shared progress ledger the shards of a resumable run write through:
-/// a checkpoint file always contains *every* shard's latest snapshot,
-/// taken under one lock, so a kill at any moment leaves a consistent
-/// (if per-shard uneven) file behind.
-struct Ledger<'a> {
-    sim: &'a DirectorySim,
-    policy: &'a CheckpointPolicy,
-    storage: &'a dyn Storage,
-    shards: Mutex<Vec<ShardSnapshot>>,
-}
-
-impl Ledger<'_> {
-    fn publish(&self, shard: usize, snapshot: ShardSnapshot) -> Result<(), SimError> {
-        let mut shards = self.shards.lock().expect("ledger lock poisoned");
-        shards[shard] = snapshot;
-        let checkpoint = Checkpoint {
-            protocol: self.sim.protocol,
-            config: self.sim.config,
-            faults: self.sim.faults,
-            shards: shards.clone(),
-        };
-        checkpoint
-            .save_with(self.storage, &self.policy.path)
-            .map_err(|e| SimError::BadCheckpoint {
-                reason: format!("writing {}: {e}", self.policy.path.display()),
-            })
-    }
-}
-
-impl DirectorySim {
-    /// Runs the trace with periodic crash-safe snapshots, producing
-    /// exactly the result of an uninterrupted [`DirectorySim::try_run`]
-    /// (for `shards == 1`) or [`DirectorySim::try_run_sharded`] (for
-    /// `shards > 1`).
-    ///
-    /// A snapshot is written atomically to `policy.path` every
-    /// `policy.every` records per shard, and once more on completion.
-    /// If the process dies at any point, [`DirectorySim::resume_from`]
-    /// with the last snapshot replays only the unprocessed tail and
-    /// reaches a bit-identical [`SimResult`].
-    ///
-    /// # Errors
-    ///
-    /// Everything [`DirectorySim::try_run_sharded`] can report, plus
-    /// [`SimError::BadCheckpoint`] when a snapshot cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn run_resumable(
-        &self,
-        trace: &Trace,
-        shards: usize,
-        policy: &CheckpointPolicy,
-    ) -> Result<SimResult, SimError> {
-        self.resumable(trace, shards, None, Some(policy), None, &RealStorage)
-    }
-
-    /// [`DirectorySim::run_resumable`] through an explicit [`Storage`]
-    /// — snapshots are written (with rotation and fsyncs) via the
-    /// given backend, which is how the torture harness injects storage
-    /// faults into a resumable run.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DirectorySim::run_resumable`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn run_resumable_on(
-        &self,
-        trace: &Trace,
-        shards: usize,
-        policy: &CheckpointPolicy,
-        storage: &dyn Storage,
-    ) -> Result<SimResult, SimError> {
-        self.resumable(trace, shards, None, Some(policy), None, storage)
-    }
-
-    /// Like [`DirectorySim::run_resumable`], but streams each shard's
-    /// events into its entry of `sinks`; every published snapshot
-    /// additionally emits a `CheckpointSaved` event. The result stays
-    /// bit-exact with the unobserved run.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DirectorySim::run_resumable`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or `sinks.len() != shards`.
-    pub fn run_resumable_with_sinks(
-        &self,
-        trace: &Trace,
-        shards: usize,
-        policy: &CheckpointPolicy,
-        sinks: &[SharedSink],
-    ) -> Result<SimResult, SimError> {
-        assert_eq!(
-            sinks.len(),
-            shards,
-            "need exactly one sink per shard ({} sinks for {shards} shards)",
-            sinks.len()
-        );
-        self.resumable(trace, shards, None, Some(policy), Some(sinks), &RealStorage)
-    }
-
-    /// Continues a run from `checkpoint`, replaying only the
-    /// unprocessed tail of each shard's sub-trace. Pass the *same*
-    /// trace the original run was given — a fingerprint mismatch is
-    /// rejected with [`SimError::BadCheckpoint`]. When `policy` is
-    /// given, the resumed run keeps writing snapshots at the same
-    /// absolute boundaries the original would have.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::BadCheckpoint`] when the snapshot does not belong to
-    /// this simulation (protocol, configuration, fault plan, shard
-    /// count, or trace differ), plus everything the replay itself can
-    /// report.
-    pub fn resume_from(
-        &self,
-        trace: &Trace,
-        checkpoint: &Checkpoint,
-        policy: Option<&CheckpointPolicy>,
-    ) -> Result<SimResult, SimError> {
-        self.resumable(
-            trace,
-            checkpoint.shard_count(),
-            Some(checkpoint),
-            policy,
-            None,
-            &RealStorage,
-        )
-    }
-
-    /// [`DirectorySim::resume_from`] through an explicit [`Storage`]
-    /// for the snapshots the resumed run keeps writing.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DirectorySim::resume_from`].
-    pub fn resume_from_on(
-        &self,
-        trace: &Trace,
-        checkpoint: &Checkpoint,
-        policy: Option<&CheckpointPolicy>,
-        storage: &dyn Storage,
-    ) -> Result<SimResult, SimError> {
-        self.resumable(
-            trace,
-            checkpoint.shard_count(),
-            Some(checkpoint),
-            policy,
-            None,
-            storage,
-        )
-    }
-
-    /// Like [`DirectorySim::resume_from`], but streams each shard's
-    /// events into its entry of `sinks`. Each shard resumed past record
-    /// zero opens its stream with a `CheckpointLoaded` event carrying
-    /// the restored cursor, so the event stream itself shows that the
-    /// run skipped its already-processed prefix.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DirectorySim::resume_from`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sinks.len()` differs from the checkpoint's shard
-    /// count.
-    pub fn resume_from_with_sinks(
-        &self,
-        trace: &Trace,
-        checkpoint: &Checkpoint,
-        policy: Option<&CheckpointPolicy>,
-        sinks: &[SharedSink],
-    ) -> Result<SimResult, SimError> {
-        assert_eq!(
-            sinks.len(),
-            checkpoint.shard_count(),
-            "need exactly one sink per shard ({} sinks for {} shards)",
-            sinks.len(),
-            checkpoint.shard_count()
-        );
-        self.resumable(
-            trace,
-            checkpoint.shard_count(),
-            Some(checkpoint),
-            policy,
-            Some(sinks),
-            &RealStorage,
-        )
-    }
-
-    /// Replays the first `records` references (per shard, clamped to
-    /// each sub-trace's length) and captures the state as a
-    /// [`Checkpoint`], without touching the filesystem. This is the
-    /// programmatic kill: the returned snapshot is byte-for-byte what
-    /// [`DirectorySim::run_resumable`] would have persisted at that
-    /// boundary, which makes every-boundary resume-equivalence tests
-    /// cheap to express.
-    ///
-    /// # Errors
-    ///
-    /// Everything the replayed prefix can report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn checkpoint_after(
-        &self,
-        trace: &Trace,
-        shards: usize,
-        records: u64,
-    ) -> Result<Checkpoint, SimError> {
-        assert!(shards > 0, "shard count must be positive");
-        self.check_shardable(shards)?;
-        let placement = self.resolve_placement(trace);
-        let subs = self.subtraces(trace, shards);
-        let mut snapshots = Vec::with_capacity(shards);
-        for (id, sub) in subs.iter().enumerate() {
-            let cut = records.min(sub.len() as u64);
-            let mut engine = self.fresh_engine(placement.clone(), id as u32, shards);
-            for r in sub.iter().take(cut as usize) {
-                engine.try_step(*r)?;
-            }
-            snapshots.push(ShardSnapshot {
-                cursor: cut,
-                trace_len: sub.len() as u64,
-                trace_hash: trace_fingerprint(sub),
-                engine: EngineSnapshot::capture(&engine),
-            });
-        }
-        Ok(Checkpoint {
-            protocol: self.protocol,
-            config: self.config,
-            faults: self.faults,
-            shards: snapshots,
-        })
-    }
-
-    pub(crate) fn check_shardable(&self, shards: usize) -> Result<(), SimError> {
-        if shards > 1 && self.config.cache != CacheConfig::Infinite {
-            return Err(SimError::ShardingUnsupported {
-                reason: "finite caches couple blocks through set eviction; \
-                         sharded runs require CacheConfig::Infinite",
-            });
-        }
-        Ok(())
-    }
-
-    /// The per-shard sub-traces of a resumable run. A 1-shard run is
-    /// the sequential engine over the whole trace (matching
-    /// [`DirectorySim::try_run`], including its fault stream); K > 1
-    /// partitions by block exactly as the sharded engine does.
-    fn subtraces(&self, trace: &Trace, shards: usize) -> Vec<Trace> {
-        if shards == 1 {
-            vec![trace.clone()]
-        } else {
-            trace.partition_by_block(self.config.block_size, shards)
-        }
-    }
-
-    /// The engine a fresh (non-resumed) shard of a resumable run
-    /// starts from. Sequential runs draw the base fault stream, like
-    /// [`DirectorySim::try_run`]; sharded runs derive per-shard streams,
-    /// like [`DirectorySim::try_run_sharded`].
-    pub(crate) fn fresh_engine(
-        &self,
-        placement: PagePlacement,
-        shard_id: u32,
-        shards: usize,
-    ) -> AnyEngine {
-        let mut engine = AnyEngine::new(self.engine, self.protocol, &self.config, placement);
-        if let Some(plan) = self.faults {
-            let plan = if shards == 1 {
-                plan
-            } else {
-                plan.for_shard(shard_id)
-            };
-            engine = engine.with_faults(plan);
-        }
-        engine
-    }
-
-    /// The shard fault plan used to *restore* an injector: must mirror
-    /// [`DirectorySim::fresh_engine`]'s choice.
-    pub(crate) fn shard_plan(&self, shard_id: u32, shards: usize) -> Option<FaultPlan> {
-        self.faults.map(|plan| {
-            if shards == 1 {
-                plan
-            } else {
-                plan.for_shard(shard_id)
-            }
-        })
-    }
-
-    fn resumable(
-        &self,
-        trace: &Trace,
-        shards: usize,
-        start: Option<&Checkpoint>,
-        policy: Option<&CheckpointPolicy>,
-        sinks: Option<&[SharedSink]>,
-        storage: &dyn Storage,
-    ) -> Result<SimResult, SimError> {
-        assert!(shards > 0, "shard count must be positive");
-        self.check_shardable(shards)?;
-        if let Some(ckpt) = start {
-            self.validate_identity(ckpt)?;
-        }
-
-        let placement = self.resolve_placement(trace);
-        let subs = self.subtraces(trace, shards);
-
-        // Validate each shard's sub-trace against the snapshot before
-        // rebuilding any engine state.
-        if let Some(ckpt) = start {
-            for (id, (sub, snap)) in subs.iter().zip(&ckpt.shards).enumerate() {
-                if snap.trace_len != sub.len() as u64 {
-                    return Err(SimError::BadCheckpoint {
-                        reason: format!(
-                            "shard {id}: snapshot covers {} records but the trace partitions \
-                             into {}",
-                            snap.trace_len,
-                            sub.len()
-                        ),
-                    });
-                }
-                if snap.trace_hash != trace_fingerprint(sub) {
-                    return Err(SimError::BadCheckpoint {
-                        reason: format!("shard {id}: trace fingerprint mismatch"),
-                    });
-                }
-            }
-        }
-
-        let initial: Vec<ShardSnapshot> = match start {
-            Some(ckpt) => ckpt.shards.clone(),
-            None => subs
-                .iter()
-                .enumerate()
-                .map(|(id, sub)| ShardSnapshot {
-                    cursor: 0,
-                    trace_len: sub.len() as u64,
-                    trace_hash: trace_fingerprint(sub),
-                    engine: EngineSnapshot::capture(&self.fresh_engine(
-                        placement.clone(),
-                        id as u32,
-                        shards,
-                    )),
-                })
-                .collect(),
-        };
-
-        let ledger = policy.map(|p| Ledger {
-            sim: self,
-            policy: p,
-            storage,
-            shards: Mutex::new(initial.clone()),
-        });
-
-        let run_one = |id: usize, sub: &Trace| -> Result<SimResult, SimError> {
-            let snap = &initial[id];
-            let mut engine = snap.engine.restore_any(
-                self.engine,
-                self.protocol,
-                &self.config,
-                placement.clone(),
-                self.shard_plan(id as u32, shards),
-            )?;
-            // Snapshots deliberately exclude sinks; re-attach after the
-            // restore and announce a resumed (cursor > 0) stream.
-            engine.set_sink(sinks.map(|s| s[id].clone()));
-            if snap.cursor > 0 {
-                engine.emit_obs(&ObsEvent::CheckpointLoaded {
-                    step: engine.steps(),
-                    records: snap.cursor,
-                });
-            }
-            let every = policy.map_or(0, |p| p.every);
-            let mut cursor = snap.cursor as usize;
-            for r in sub.iter().skip(cursor) {
-                engine.try_step(*r)?;
-                cursor += 1;
-                if every > 0 && cursor.is_multiple_of(every as usize) && cursor < sub.len() {
-                    if let Some(ledger) = &ledger {
-                        ledger.publish(
-                            id,
-                            ShardSnapshot {
-                                cursor: cursor as u64,
-                                trace_len: snap.trace_len,
-                                trace_hash: snap.trace_hash,
-                                engine: EngineSnapshot::capture(&engine),
-                            },
-                        )?;
-                        engine.emit_obs(&ObsEvent::CheckpointSaved {
-                            step: engine.steps(),
-                            records: cursor as u64,
-                        });
-                    }
-                }
-            }
-            engine.verify()?;
-            if let Some(ledger) = &ledger {
-                ledger.publish(
-                    id,
-                    ShardSnapshot {
-                        cursor: cursor as u64,
-                        trace_len: snap.trace_len,
-                        trace_hash: snap.trace_hash,
-                        engine: EngineSnapshot::capture(&engine),
-                    },
-                )?;
-                engine.emit_obs(&ObsEvent::CheckpointSaved {
-                    step: engine.steps(),
-                    records: cursor as u64,
-                });
-            }
-            Ok(engine.finish())
-        };
-
-        let outcomes: Vec<Result<SimResult, SimError>> = if shards == 1 {
-            vec![run_one(0, &subs[0])]
-        } else {
-            thread::scope(|scope| {
-                let run_one = &run_one;
-                let handles: Vec<_> = subs
-                    .iter()
-                    .enumerate()
-                    .map(|(id, sub)| scope.spawn(move || run_one(id, sub)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("resumable shard thread panicked"))
-                    .collect()
-            })
-        };
-
-        let mut merged = SimResult::empty(self.protocol);
-        for outcome in outcomes {
-            merged += outcome?;
-        }
-        Ok(merged)
-    }
-
-    fn validate_identity(&self, ckpt: &Checkpoint) -> Result<(), SimError> {
-        if ckpt.protocol != self.protocol {
-            return Err(SimError::BadCheckpoint {
-                reason: format!(
-                    "snapshot is of protocol {} but this run simulates {}",
-                    ckpt.protocol, self.protocol
-                ),
-            });
-        }
-        if ckpt.config != self.config {
-            return Err(SimError::BadCheckpoint {
-                reason: "snapshot configuration differs from this run's".to_string(),
-            });
-        }
-        if ckpt.faults != self.faults {
-            return Err(SimError::BadCheckpoint {
-                reason: "snapshot fault plan differs from this run's".to_string(),
-            });
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcc_trace::{Addr, MemRef};
+    use crate::sim::DirectorySim;
+    use mcc_trace::Addr;
 
     fn small_trace() -> Trace {
         let mut t = Trace::new();
@@ -1697,7 +1279,7 @@ mod tests {
         ckpt.write_to(&mut bytes).unwrap();
         let back = Checkpoint::read_from(&mut bytes.as_slice()).unwrap();
         assert_eq!(back, ckpt);
-        assert_eq!(back.completed_records(), 100);
+        assert_eq!(back.shards()[0].cursor(), 100);
         assert_eq!(back.total_records(), trace.len() as u64);
         assert!(!back.is_complete());
     }
@@ -1707,13 +1289,9 @@ mod tests {
         let trace = small_trace();
         for shards in [1usize, 3] {
             let sim = DirectorySim::new(Protocol::Basic, &config());
-            let straight = if shards == 1 {
-                sim.try_run(&trace).unwrap()
-            } else {
-                sim.try_run_sharded(&trace, shards).unwrap()
-            };
+            let straight = sim.runner(&trace).shards(shards).run().unwrap();
             let ckpt = sim.checkpoint_after(&trace, shards, 77).unwrap();
-            let resumed = sim.resume_from(&trace, &ckpt, None).unwrap();
+            let resumed = sim.runner(&trace).resume(&ckpt).run().unwrap();
             assert_eq!(resumed, straight, "{shards} shards");
         }
     }
@@ -1725,7 +1303,7 @@ mod tests {
         let ckpt = sim.checkpoint_after(&trace, 1, 50).unwrap();
 
         let other = DirectorySim::new(Protocol::Conventional, &config());
-        match other.resume_from(&trace, &ckpt, None) {
+        match other.runner(&trace).resume(&ckpt).run() {
             Err(SimError::BadCheckpoint { reason }) => {
                 assert!(reason.contains("protocol"), "{reason}");
             }
@@ -1734,7 +1312,7 @@ mod tests {
 
         let mut tampered = trace.clone();
         tampered.push(MemRef::read(NodeId::new(0), Addr::new(0x7777)));
-        match sim.resume_from(&tampered, &ckpt, None) {
+        match sim.runner(&tampered).resume(&ckpt).run() {
             Err(SimError::BadCheckpoint { reason }) => {
                 assert!(
                     reason.contains("records") || reason.contains("fingerprint"),
@@ -1755,7 +1333,7 @@ mod tests {
         // the snapshot is doctored.
         let mut doctored = ckpt.clone();
         doctored.shards.pop();
-        match sim.resume_from(&trace, &doctored, None) {
+        match sim.runner(&trace).resume(&doctored).run() {
             Err(SimError::BadCheckpoint { .. }) => {}
             other => panic!("expected BadCheckpoint, got {other:?}"),
         }
@@ -1771,13 +1349,13 @@ mod tests {
         ));
         let sim = DirectorySim::new(Protocol::Conservative, &config());
         let policy = CheckpointPolicy::new(64, &path);
-        let result = sim.run_resumable(&trace, 1, &policy).unwrap();
+        let result = sim.runner(&trace).checkpoint(&policy).run().unwrap();
         assert_eq!(result, sim.try_run(&trace).unwrap());
 
         let ckpt = Checkpoint::load(&path).unwrap();
         assert!(ckpt.is_complete());
         // Resuming a complete checkpoint replays nothing and agrees.
-        assert_eq!(sim.resume_from(&trace, &ckpt, None).unwrap(), result);
+        assert_eq!(sim.runner(&trace).resume(&ckpt).run().unwrap(), result);
         std::fs::remove_file(&path).ok();
     }
 

@@ -198,7 +198,7 @@ pub enum SimError {
     },
     /// A streamed trace could not be read: the file went away, was
     /// truncated mid-pass, or held an invalid record. Streaming runs
-    /// surface the underlying [`ReadTraceError`]'s rendering here
+    /// surface the underlying [`ReadTraceError`](mcc_trace::ReadTraceError)'s rendering here
     /// instead of panicking mid-simulation.
     TraceUnreadable {
         /// Human-readable diagnosis from the trace reader.

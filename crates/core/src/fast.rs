@@ -1044,20 +1044,21 @@ impl FastEngine {
     }
 
     pub(crate) fn resident_lines(&self) -> Vec<(NodeId, BlockAddr, LineState, u64)> {
-        let mut out = Vec::new();
-        for node in NodeId::first(self.nodes) {
-            for slot in 0..self.blocks.len() {
-                if self.copyset[slot].contains(node) {
-                    out.push((
-                        node,
-                        self.blocks[slot],
-                        self.holder_state(slot),
-                        self.line_version[slot],
-                    ));
-                }
+        // One pass over the rows into per-node buckets: node-major, slot
+        // order within a node, at O(blocks + lines) rather than one pass
+        // over every row per node.
+        let mut by_node = vec![Vec::new(); usize::from(self.nodes)];
+        for slot in 0..self.blocks.len() {
+            for node in self.copyset[slot].iter() {
+                by_node[node.index()].push((
+                    node,
+                    self.blocks[slot],
+                    self.holder_state(slot),
+                    self.line_version[slot],
+                ));
             }
         }
-        out
+        by_node.concat()
     }
 
     /// Testing hook mirroring

@@ -22,9 +22,12 @@
 //! * [`charge`] / [`charge_eviction`] — the Table 1 / §3.3 inter-node
 //!   message cost model;
 //! * [`DirectorySim`] / [`DirectoryEngine`] — the trace-driven CC-NUMA
-//!   memory-system simulator with a built-in coherence checker, plus an
-//!   address-sharded parallel path ([`DirectorySim::run_sharded`]) that
-//!   reproduces the sequential result bit-exactly.
+//!   memory-system simulator with a built-in coherence checker;
+//! * [`Run`] — the one run pipeline every simulation goes through:
+//!   materialized or streamed, sequential or address-sharded (bit-exact
+//!   with sequential), supervised, observed, checkpointed and resumed;
+//! * [`Checkpoint`] — the one crash-safe snapshot format for all of
+//!   them.
 //!
 //! # Examples
 //!
@@ -66,14 +69,13 @@ mod oracle;
 mod policy;
 mod repr;
 mod result;
+mod run;
 mod sim;
-mod sim_parallel;
 pub mod storage;
-mod stream_run;
 
 pub use checkpoint::{
-    Checkpoint, CheckpointError, CheckpointPolicy, EngineSnapshot, RecoveredCheckpoint,
-    ShardSnapshot, SnapshotGeneration,
+    stream_fingerprint, Checkpoint, CheckpointError, CheckpointPolicy, EngineSnapshot,
+    RecoveredCheckpoint, ShardSnapshot, SnapshotGeneration, StreamCheckpoint,
 };
 pub use directory::{CopiesCreated, CopySet, DirEntry, ReadMissAction, Reclassification};
 pub use engine::{AnyEngine, Engine, EngineKind};
@@ -90,16 +92,13 @@ pub use oracle::migrate_hints;
 pub use policy::{AdaptivePolicy, Protocol};
 pub use repr::DirectoryRepr;
 pub use result::{EventCounts, MessageBreakdown, SimResult};
+#[doc(hidden)]
+pub use run::test_hooks as supervision_test_hooks;
+pub use run::{Run, RunInput, ShardedReport};
 pub use sim::{
     DirectoryEngine, DirectorySim, DirectorySimConfig, LineState, PlacementPolicy, StepInfo,
     StepKind,
 };
-#[doc(hidden)]
-pub use sim_parallel::test_hooks as supervision_test_hooks;
-pub use sim_parallel::ShardedReport;
 pub use storage::{
     ChaosStorage, ChaosStorageStats, KillScope, RealStorage, Storage, StorageFaultPlan,
-};
-pub use stream_run::{
-    stream_fingerprint, StreamCheckpoint, StreamShardSnapshot, STREAM_CHECKPOINT_MAGIC,
 };

@@ -54,6 +54,10 @@ pub struct Monitor {
     /// Highest latest-write version observed per block across sweeps;
     /// a later sweep seeing a lower value means a write was lost.
     high_water: HashMap<BlockAddr, u64>,
+    /// Two consecutive multiples of `every` around the last step
+    /// checked: a step strictly between them is not due, which spares
+    /// the per-step division.
+    between: (u64, u64),
 }
 
 impl Monitor {
@@ -71,6 +75,7 @@ impl Monitor {
             every: every.max(1),
             checks_run: 0,
             high_water: HashMap::new(),
+            between: (0, 0),
         }
     }
 
@@ -85,7 +90,13 @@ impl Monitor {
     /// Sweeps the engine's invariants when its step counter crosses the
     /// sampling period; cheap no-op otherwise.
     pub fn after_step<E: Engine>(&mut self, engine: &E) -> Result<(), Violation> {
-        if engine.steps().is_multiple_of(self.every) {
+        let steps = engine.steps();
+        if self.between.0 < steps && steps < self.between.1 {
+            return Ok(());
+        }
+        let below = steps - steps.checked_rem(self.every).unwrap_or(steps);
+        self.between = (below, below.saturating_add(self.every));
+        if steps.is_multiple_of(self.every) {
             self.checks_run += 1;
             self.sweep(engine)
         } else {

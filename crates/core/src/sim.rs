@@ -20,15 +20,14 @@ use std::collections::HashMap;
 use mcc_cache::{Cache, CacheConfig};
 use mcc_obs::{Event as ObsEvent, Rule, SharedSink};
 use mcc_placement::PagePlacement;
-use mcc_trace::{BlockAddr, BlockSize, MemOp, MemRef, NodeId, Trace};
+use mcc_trace::{BlockAddr, BlockSize, MemOp, MemRef, NodeId};
 
 use crate::directory::{CopySet, DirEntry, ReadMissAction, Reclassification};
-use crate::engine::{AnyEngine, Engine, EngineKind};
+use crate::engine::EngineKind;
 use crate::error::{SimError, Violation, ViolationKind};
 use crate::faults::{
     jittered_backoff_units, AttemptOutcome, FaultInjector, FaultPlan, TransactionShape,
 };
-use crate::monitor::Monitor;
 use crate::msg::{charge, charge_eviction, MessageCount, OpKind};
 use crate::policy::{AdaptivePolicy, Protocol};
 use crate::repr::DirectoryRepr;
@@ -272,80 +271,6 @@ impl DirectorySim {
     /// [`EngineKind::Fast`] by default.
     pub fn engine_kind(&self) -> EngineKind {
         self.engine
-    }
-
-    /// Runs the whole trace: resolves page placement (profiling the trace
-    /// if configured), processes every reference, and returns the tally.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace references nodes outside the configuration, or
-    /// if the protocol violates coherence (which would be a bug in this
-    /// crate, not in the caller), or if a configured fault plan exhausts
-    /// its retries.
-    pub fn run(&self, trace: &Trace) -> SimResult {
-        let mut engine = self.build_engine(trace);
-        for r in trace.iter() {
-            engine.step(*r);
-        }
-        engine.finish()
-    }
-
-    /// Like [`DirectorySim::run`], but reports failures — coherence
-    /// violations, retry exhaustion, livelock, bad node indices — as a
-    /// structured [`SimError`] instead of panicking, and additionally
-    /// sweeps the global invariants with a [`Monitor`] throughout the
-    /// run (sized to the trace by [`Monitor::for_run_length`], plus a
-    /// final full sweep).
-    pub fn try_run(&self, trace: &Trace) -> Result<SimResult, SimError> {
-        let mut engine = self.build_engine(trace);
-        let mut monitor = Monitor::for_run_length(trace.len() as u64);
-        for r in trace.iter() {
-            engine.try_step(*r)?;
-            monitor.after_step(&engine)?;
-        }
-        monitor.verify(&engine)?;
-        Ok(engine.finish())
-    }
-
-    /// Like [`DirectorySim::try_run`], but streams structured
-    /// observability events into `sink` as the run progresses. Events
-    /// are derived observations — the simulation result is bit-exact
-    /// with an unobserved [`DirectorySim::try_run`].
-    pub fn try_run_with_sink(
-        &self,
-        trace: &Trace,
-        sink: SharedSink,
-    ) -> Result<SimResult, SimError> {
-        let mut engine = self.build_engine(trace).with_sink(sink);
-        let mut monitor = Monitor::for_run_length(trace.len() as u64);
-        for r in trace.iter() {
-            engine.try_step(*r)?;
-            monitor.after_step(&engine)?;
-        }
-        monitor.verify(&engine)?;
-        Ok(engine.finish())
-    }
-
-    /// Resolves the page placement exactly as an end-to-end run would:
-    /// trace-derived policies (profiled, first-touch) always profile
-    /// the *full* trace, which is what keeps sharded and resumed runs
-    /// bit-identical to sequential ones.
-    pub(crate) fn resolve_placement(&self, trace: &Trace) -> PagePlacement {
-        match self.config.placement {
-            PlacementPolicy::RoundRobin => PagePlacement::round_robin(self.config.nodes),
-            PlacementPolicy::FirstTouch => PagePlacement::first_touch(trace, self.config.nodes),
-            PlacementPolicy::Profiled => PagePlacement::profiled(trace, self.config.nodes),
-        }
-    }
-
-    pub(crate) fn build_engine(&self, trace: &Trace) -> AnyEngine {
-        let placement = self.resolve_placement(trace);
-        let mut engine = AnyEngine::new(self.engine, self.protocol, &self.config, placement);
-        if let Some(plan) = self.faults {
-            engine = engine.with_faults(plan);
-        }
-        engine
     }
 }
 
@@ -1493,7 +1418,7 @@ impl DirectoryEngine {
 mod tests {
     use super::*;
     use mcc_cache::CacheGeometry;
-    use mcc_trace::Addr;
+    use mcc_trace::{Addr, Trace};
 
     fn config() -> DirectorySimConfig {
         DirectorySimConfig::default()

@@ -233,7 +233,10 @@ pub struct LiveReport {
     pub clients: Vec<ClientReport>,
     /// Per-shard outcomes.
     pub shards: Vec<ShardOutcome>,
-    /// Wall-clock time of the whole run (including drain).
+    /// Wall-clock time from just before the clients spawn until the run
+    /// drained — the denominator of [`LiveReport::ops_per_sec`].
+    /// Workload synthesis, telemetry set-up and shard start-up happen
+    /// before the clock starts.
     pub wall: Duration,
     /// Post-run differential verification (with any in-run sampling
     /// violations folded in).
@@ -257,7 +260,7 @@ impl LiveReport {
         self.clients.iter().map(|c| c.acked_writes).sum()
     }
 
-    /// Sustained acknowledged throughput over the run's wall clock.
+    /// Sustained acknowledged throughput over [`LiveReport::wall`].
     pub fn ops_per_sec(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
         if secs == 0.0 {
@@ -383,8 +386,6 @@ pub fn run_live(cfg: &LiveConfig) -> Result<LiveReport, String> {
         }
     }
 
-    let started = Instant::now();
-
     // --- Telemetry plane (optional). ---
     let telemetry = cfg
         .telemetry
@@ -473,7 +474,9 @@ pub fn run_live(cfg: &LiveConfig) -> Result<LiveReport, String> {
         });
     }
 
-    // --- Clients. ---
+    // --- Clients. --- The throughput clock starts here, so workload
+    // synthesis and shard start-up never count against `ops_per_sec`.
+    let started = Instant::now();
     let stop = Arc::new(AtomicBool::new(false));
     let (client_tx, client_rx) = mpsc::channel::<ClientReport>();
     let mut client_handles = Vec::with_capacity(cfg.nodes as usize);

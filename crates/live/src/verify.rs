@@ -12,8 +12,8 @@
 //!    Table-1 message accounting, including across crash-restarts);
 //! 2. the replayed outcome of each entry (`kind`, `messages`) equals
 //!    what the live shard charged and acknowledged at the time;
-//! 3. each surviving shard's final [`SimResult`] equals the replay's —
-//!    the WAL really is the whole story;
+//! 3. each surviving shard's final [`SimResult`](mcc_core::SimResult)
+//!    equals the replay's — the WAL really is the whole story;
 //! 4. the re-generated event narration equals the journal's committed
 //!    event stream (framing events aside), proving restarts never
 //!    dropped or duplicated an observation;

@@ -78,7 +78,7 @@ impl ShardFilter {
 
 /// A re-openable, boundedly-buffered source of trace records.
 ///
-/// See the [module documentation](self) for the design; see
+/// The source file `stream.rs` documents the design; see
 /// [`TraceStream::records`] for iteration.
 ///
 /// # Examples

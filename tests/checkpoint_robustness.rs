@@ -14,7 +14,6 @@ use mcc::core::checkpoint::CHECKPOINT_MAGIC;
 use mcc::core::{
     AnyEngine, Checkpoint, CheckpointError, DirectorySim, DirectorySimConfig, Engine, EngineKind,
     EngineSnapshot, FaultPlan, Protocol, RealStorage, SimError, StreamCheckpoint,
-    STREAM_CHECKPOINT_MAGIC,
 };
 use mcc::execsim::{ExecCheckpoint, ExecSim, ExecSimConfig, EXEC_CHECKPOINT_MAGIC};
 use mcc::placement::PagePlacement;
@@ -176,83 +175,129 @@ fn mismatched_checkpoints_are_rejected_before_any_replay() {
 
     // Different protocol.
     let other = DirectorySim::new(Protocol::Conventional, &cfg);
-    let err = other.resume_from(&trace, &ck, None).unwrap_err();
+    let err = other.runner(&trace).resume(&ck).run().unwrap_err();
     assert!(matches!(err, SimError::BadCheckpoint { .. }), "{err}");
 
     // Different trace (the fingerprint in the snapshot disagrees).
     let mut reordered = sample_trace(4);
     reordered.push(MemRef::read(NodeId::new(0), Addr::new(0x9999)));
-    let err = sim.resume_from(&reordered, &ck, None).unwrap_err();
+    let err = sim.runner(&reordered).resume(&ck).run().unwrap_err();
     assert!(matches!(err, SimError::BadCheckpoint { .. }), "{err}");
 
     // Different fault plan (reliable vs faulted).
     let faulted = DirectorySim::new(Protocol::Basic, &cfg).with_faults(FaultPlan::uniform(1, 1000));
-    let err = faulted.resume_from(&trace, &ck, None).unwrap_err();
+    let err = faulted.runner(&trace).resume(&ck).run().unwrap_err();
     assert!(matches!(err, SimError::BadCheckpoint { .. }), "{err}");
 }
 
 /// Corrupt the newest snapshot every way the truncation/bit-flip
 /// matrix knows, with a healthy rotated `.prev` generation beside it:
 /// the fallback loader must recover the previous generation every
-/// single time, report which generation it settled on, and carry the
-/// typed error that disqualified the primary.
+/// single time, report which generation it settled on, carry the
+/// typed error that disqualified the primary, and resume from it to
+/// the uninterrupted result. Two generation pairs: two programmatic
+/// snapshots of a materialized K=2 run, and the last two files a K=2
+/// generator-stream run wrote.
 #[test]
 fn every_corruption_of_the_primary_falls_back_to_the_previous_generation() {
     use mcc::core::checkpoint::prev_path;
-    use mcc::core::{ChaosStorage, SnapshotGeneration, Storage, StorageFaultPlan};
+    use mcc::core::{
+        ChaosStorage, CheckpointPolicy, SnapshotGeneration, Storage, StorageFaultPlan,
+    };
+    use mcc::trace::TraceStream;
     use std::path::Path;
 
-    let newest = sample_bytes();
-    // The rotated previous generation: an earlier snapshot of the same
-    // run (fewer records covered), byte-exactly distinguishable.
     let trace = sample_trace(4);
     let cfg = DirectorySimConfig {
         nodes: 4,
         ..DirectorySimConfig::default()
     };
+    let sim =
+        DirectorySim::new(Protocol::Aggressive, &cfg).with_faults(FaultPlan::uniform(7, 30_000));
+
+    // Materialized: the rotated previous generation is an earlier
+    // snapshot of the same run (fewer records covered), byte-exactly
+    // distinguishable.
     let mut prev_bytes = Vec::new();
-    DirectorySim::new(Protocol::Aggressive, &cfg)
-        .with_faults(FaultPlan::uniform(7, 30_000))
-        .checkpoint_after(&trace, 2, 10)
+    sim.checkpoint_after(&trace, 2, 10)
         .expect("prefix replays cleanly")
         .write_to(&mut prev_bytes)
         .expect("vec write");
-    assert_ne!(prev_bytes, newest);
+    let materialized = (sample_bytes(), prev_bytes);
+
+    // Streamed: whatever a checkpointed K=2 run left behind.
+    let records: Vec<MemRef> = (0..40u64)
+        .flat_map(|_| sample_trace(4).iter().copied().collect::<Vec<_>>())
+        .collect();
+    let stream_len = records.len() as u64;
+    let stream = TraceStream::from_generator(stream_len, move |i| records[i as usize]);
+    let dir = std::env::temp_dir().join(format!("mcc-fallback-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let written = dir.join("stream.ckpt");
+    let stream_result = sim
+        .run_stream_resumable(&stream, 2, &CheckpointPolicy::new(100, &written))
+        .expect("streamed run");
+    let streamed = (
+        std::fs::read(&written).expect("final generation"),
+        std::fs::read(prev_path(&written)).expect("previous generation"),
+    );
+    std::fs::remove_dir_all(&dir).ok();
 
     let path = Path::new("run.ckpt");
     let prev_p = prev_path(path);
+    for (case, (newest, prev_bytes)) in [("materialized", materialized), ("streamed", streamed)] {
+        assert_ne!(prev_bytes, newest, "{case}");
+        let mut corruptions: Vec<Vec<u8>> =
+            (0..newest.len()).map(|n| newest[..n].to_vec()).collect();
+        let mut rng = SplitMix64::new(0xFA11BACC);
+        for _ in 0..128 {
+            let pos = rng.gen_range(0..newest.len() as u64) as usize;
+            let bit = rng.gen_range(0..8);
+            let mut corrupt = newest.clone();
+            corrupt[pos] ^= 1 << bit;
+            corruptions.push(corrupt);
+        }
 
-    let mut corruptions: Vec<Vec<u8>> = (0..newest.len()).map(|n| newest[..n].to_vec()).collect();
-    let mut rng = SplitMix64::new(0xFA11BACC);
-    for _ in 0..128 {
-        let pos = rng.gen_range(0..newest.len() as u64) as usize;
-        let bit = rng.gen_range(0..8);
-        let mut corrupt = newest.clone();
-        corrupt[pos] ^= 1 << bit;
-        corruptions.push(corrupt);
-    }
+        for (i, corrupt) in corruptions.iter().enumerate() {
+            let fs = ChaosStorage::new(StorageFaultPlan::reliable(1));
+            fs.write_file(path, corrupt).unwrap();
+            fs.write_file(&prev_p, &prev_bytes).unwrap();
+            let recovered = Checkpoint::load_with_fallback_from(&fs, path)
+                .unwrap_or_else(|e| panic!("{case} corruption {i}: fallback loader failed: {e}"));
+            assert_eq!(
+                recovered.generation,
+                SnapshotGeneration::Previous,
+                "{case} corruption {i} did not fall back"
+            );
+            let primary_error = recovered
+                .primary_error
+                .as_ref()
+                .unwrap_or_else(|| panic!("{case} corruption {i}: no primary error recorded"));
+            assert!(!primary_error.class().is_empty());
+            let mut round_trip = Vec::new();
+            recovered.checkpoint.write_to(&mut round_trip).unwrap();
+            assert_eq!(
+                round_trip, prev_bytes,
+                "{case} corruption {i} recovered something other than the previous generation"
+            );
+        }
 
-    for (i, corrupt) in corruptions.iter().enumerate() {
-        let fs = ChaosStorage::new(StorageFaultPlan::reliable(1));
-        fs.write_file(path, corrupt).unwrap();
-        fs.write_file(&prev_p, &prev_bytes).unwrap();
-        let recovered = Checkpoint::load_with_fallback_from(&fs, path)
-            .unwrap_or_else(|e| panic!("corruption {i}: fallback loader failed: {e}"));
+        // The recovered generation resumes to the uninterrupted result.
+        let previous = Checkpoint::read_from(&mut &prev_bytes[..]).expect("previous generation");
+        let (resumed, straight) = match case {
+            "materialized" => (
+                sim.runner(&trace).resume(&previous).run(),
+                sim.runner(&trace).shards(2).run(),
+            ),
+            _ => (
+                sim.resume_stream_from(&stream, &previous, None),
+                Ok(stream_result),
+            ),
+        };
         assert_eq!(
-            recovered.generation,
-            SnapshotGeneration::Previous,
-            "corruption {i} did not fall back"
-        );
-        let primary_error = recovered
-            .primary_error
-            .as_ref()
-            .unwrap_or_else(|| panic!("corruption {i}: no primary error recorded"));
-        assert!(!primary_error.class().is_empty());
-        let mut round_trip = Vec::new();
-        recovered.checkpoint.write_to(&mut round_trip).unwrap();
-        assert_eq!(
-            round_trip, prev_bytes,
-            "corruption {i} recovered something other than the previous generation"
+            resumed.expect("resume from the previous generation"),
+            straight.expect("uninterrupted run"),
+            "{case}: resuming the recovered generation diverged"
         );
     }
 }
@@ -352,7 +397,6 @@ fn every_on_disk_magic_is_distinct() {
         ("TRACE_MAGIC", TRACE_MAGIC),
         ("TRACE_MAGIC_V1", TRACE_MAGIC_V1),
         ("CHECKPOINT_MAGIC", CHECKPOINT_MAGIC),
-        ("STREAM_CHECKPOINT_MAGIC", STREAM_CHECKPOINT_MAGIC),
         ("EXEC_CHECKPOINT_MAGIC", EXEC_CHECKPOINT_MAGIC),
         ("WAL_MAGIC", WAL_MAGIC),
         ("SHARD_SNAPSHOT_MAGIC", SHARD_SNAPSHOT_MAGIC),

@@ -288,7 +288,9 @@ fn sharded_runs_match_the_sequential_reference_bit_exactly() {
         let sequential = reference.try_run(&trace).expect("reference run");
         for shards in [1usize, 4, 8] {
             let sharded_fast = fast
-                .try_run_sharded(&trace, shards)
+                .runner(&trace)
+                .shards(shards)
+                .run()
                 .expect("fast sharded run");
             assert_eq!(
                 sharded_fast, sequential,
@@ -313,7 +315,7 @@ fn faulted_event_streams_match_after_scrubbing() {
                 .with_engine(kind)
                 .with_faults(plan);
             let (buffer, handle) = shared(BufferSink::new());
-            let result = sim.try_run_with_sink(&trace, handle);
+            let result = sim.runner(&trace).sinks(&[handle]).run();
             let events = std::mem::take(&mut *lock_sink(&buffer)).into_events();
             (result, events)
         };
@@ -455,7 +457,11 @@ fn finite_cache_lockstep_actually_evicts() {
         for protocol in protocol_points() {
             let sim = DirectorySim::new(protocol, &finite_config(cache));
             let (buffer, handle) = shared(BufferSink::new());
-            let result = sim.try_run_with_sink(&trace, handle).expect("finite run");
+            let result = sim
+                .runner(&trace)
+                .sinks(&[handle])
+                .run()
+                .expect("finite run");
             assert!(
                 result.events.writebacks > 0,
                 "{protocol} {geometry}: no write-backs"
@@ -515,7 +521,10 @@ fn finite_cache_checkpoints_cross_restore_with_identical_continuations() {
                     let continuation = |resume: &DirectorySim| {
                         let (buffer, handle) = shared(BufferSink::new());
                         let result = resume
-                            .resume_from_with_sinks(&trace, &from_reference, None, &[handle])
+                            .runner(&trace)
+                            .resume(&from_reference)
+                            .sinks(&[handle])
+                            .run()
                             .expect("resume");
                         (result, drain(&buffer))
                     };

@@ -262,7 +262,9 @@ fn pinned_message_totals() {
             if let Some(capacity) = test_events_ring() {
                 let (ring, handle) = mcc::obs::shared(mcc::obs::RingSink::new(capacity));
                 let observed = sim
-                    .try_run_with_sink(&trace, handle)
+                    .runner(&trace)
+                    .sinks(&[handle])
+                    .run()
                     .expect("instrumented golden run")
                     .total_messages();
                 assert_eq!(
@@ -283,7 +285,9 @@ fn pinned_message_totals() {
                 let plane = Telemetry::new();
                 let sink = shared(TelemetrySink::new(&plane, mcc::obs::DEFAULT_PUBLISH_EVERY)).1;
                 let observed = sim
-                    .try_run_with_sink(&trace, sink)
+                    .runner(&trace)
+                    .sinks(&[sink])
+                    .run()
                     .expect("telemetry-instrumented golden run")
                     .total_messages();
                 assert_eq!(

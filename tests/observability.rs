@@ -71,7 +71,9 @@ fn attached_sinks_never_perturb_results() {
 
         let (ring, ring_handle) = shared(RingSink::new(64));
         let ringed = sim
-            .try_run_with_sink(&trace, ring_handle)
+            .runner(&trace)
+            .sinks(&[ring_handle])
+            .run()
             .expect("ring run");
         assert_eq!(ringed, bare, "{protocol}: a ring sink changed the result");
         assert!(
@@ -81,7 +83,9 @@ fn attached_sinks_never_perturb_results() {
 
         let (_buf, buf_handle) = shared(BufferSink::new());
         let buffered = sim
-            .try_run_with_sink(&trace, buf_handle)
+            .runner(&trace)
+            .sinks(&[buf_handle])
+            .run()
             .expect("buffer run");
         assert_eq!(
             buffered, bare,
@@ -92,7 +96,10 @@ fn attached_sinks_never_perturb_results() {
         let sinks: Vec<_> = (0..shards).map(|_| shared(BufferSink::new())).collect();
         let handles: Vec<_> = sinks.iter().map(|(_, h)| h.clone()).collect();
         let sharded = sim
-            .try_run_sharded_with_sinks(&trace, shards, &handles)
+            .runner(&trace)
+            .shards(shards)
+            .sinks(&handles)
+            .run()
             .expect("sharded observed run");
         assert_eq!(
             sharded, bare,
@@ -112,7 +119,10 @@ fn sharded_streams_carry_shard_framing_and_reproduce_counters() {
     let sinks: Vec<_> = (0..shards).map(|_| shared(BufferSink::new())).collect();
     let handles: Vec<_> = sinks.iter().map(|(_, h)| h.clone()).collect();
     let result = sim
-        .try_run_sharded_with_sinks(&trace, shards, &handles)
+        .runner(&trace)
+        .shards(shards)
+        .sinks(&handles)
+        .run()
         .expect("sharded run");
 
     let mut merged: Vec<Event> = Vec::new();
@@ -177,7 +187,11 @@ fn fault_events_ride_the_stream_without_changing_the_run() {
     let sim = DirectorySim::new(Protocol::Basic, &cfg).with_faults(FaultPlan::uniform(7, 50_000));
     let bare = sim.try_run(&trace).expect("faulted run");
     let (buf, handle) = shared(BufferSink::new());
-    let observed = sim.try_run_with_sink(&trace, handle).expect("observed run");
+    let observed = sim
+        .runner(&trace)
+        .sinks(&[handle])
+        .run()
+        .expect("observed run");
     assert_eq!(observed, bare, "a sink changed a faulted run");
 
     let events = lock_sink(&buf).events().to_vec();
@@ -238,7 +252,10 @@ fn shard_zero_fault_stream_is_independent_of_shard_count() {
     for shards in COUNTS {
         let sinks: Vec<_> = (0..shards).map(|_| shared(BufferSink::new())).collect();
         let handles: Vec<_> = sinks.iter().map(|(_, h)| h.clone()).collect();
-        sim.try_run_sharded_with_sinks(&trace, shards, &handles)
+        sim.runner(&trace)
+            .shards(shards)
+            .sinks(&handles)
+            .run()
             .expect("faulted sharded run");
         let shard0 = lock_sink(&sinks[0].0).events().to_vec();
         // Every reference hits shard 0; the others must stay silent
@@ -291,7 +308,7 @@ fn dying_run_leaves_a_flight_dump_with_the_offending_blocks_timeline() {
         };
         let sim = DirectorySim::new(Protocol::Aggressive, &cfg).with_faults(plan);
         let (buf, handle) = shared(BufferSink::new());
-        let Err(err) = sim.try_run_with_sink(&trace, handle) else {
+        let Err(err) = sim.runner(&trace).sinks(&[handle]).run() else {
             continue;
         };
         let Some(block) = err.block() else {

@@ -139,7 +139,7 @@ fn try_run_sharded_matches_try_run_with_monitoring() {
     let trace = random_trace(11, 10_000, 8);
     let sim = DirectorySim::new(Protocol::Conservative, &config(PlacementPolicy::Profiled));
     assert_eq!(
-        sim.try_run_sharded(&trace, 4).expect("clean run"),
+        sim.runner(&trace).shards(4).run().expect("clean run"),
         sim.try_run(&trace).expect("clean run")
     );
 }
@@ -157,7 +157,9 @@ fn faulted_sharded_runs_deliver_the_sequential_protocol_traffic() {
         for shards in SHARD_COUNTS {
             let faulted = DirectorySim::new(protocol, &cfg)
                 .with_faults(FaultPlan::uniform(99, 20_000))
-                .try_run_sharded(&trace, shards)
+                .runner(&trace)
+                .shards(shards)
+                .run()
                 .expect("2% fault rate stays within the retry budget");
             assert_eq!(
                 faulted.messages.delivered(),
@@ -202,11 +204,11 @@ fn faulted_sharded_determinism_stress() {
     let trace = random_trace(19, 15_000, 8);
     let sim = DirectorySim::new(Protocol::Basic, &config(PlacementPolicy::Profiled))
         .with_faults(FaultPlan::uniform(5, 30_000));
-    let first = sim.try_run_sharded(&trace, 8).expect("clean run");
+    let first = sim.runner(&trace).shards(8).run().expect("clean run");
     assert!(first.messages.overhead().total() > 0, "faults must fire");
     let reference = hash_result(&first);
     for run in 1..10 {
-        let result = sim.try_run_sharded(&trace, 8).expect("clean run");
+        let result = sim.runner(&trace).shards(8).run().expect("clean run");
         assert_eq!(
             hash_result(&result),
             reference,
@@ -225,7 +227,11 @@ fn finite_caches_are_rejected_with_a_typed_error() {
         ..DirectorySimConfig::default()
     };
     let trace = random_trace(23, 1_000, 8);
-    match DirectorySim::new(Protocol::Basic, &cfg).try_run_sharded(&trace, 4) {
+    match DirectorySim::new(Protocol::Basic, &cfg)
+        .runner(&trace)
+        .shards(4)
+        .run()
+    {
         Err(SimError::ShardingUnsupported { .. }) => {}
         other => panic!("expected ShardingUnsupported, got {other:?}"),
     }

@@ -82,7 +82,9 @@ fn every_boundary_resumes_bit_exactly_under_every_protocol() {
                 let back = Checkpoint::read_from(&mut &bytes[..]).expect("own bytes read back");
                 assert_eq!(back, ck, "{protocol} cut {cut}: roundtrip must be lossless");
                 let resumed = sim
-                    .resume_from(&trace, &back, None)
+                    .runner(&trace)
+                    .resume(&back)
+                    .run()
                     .expect("resumed tail replays cleanly");
                 assert_eq!(
                     resumed,
@@ -104,10 +106,10 @@ fn sharded_runs_resume_bit_exactly() {
     };
     for protocol in Protocol::PAPER_SET {
         let sim = DirectorySim::new(protocol, &cfg).with_engine(test_engine());
-        let straight = sim.try_run_sharded(&trace, 4).expect("sharded run");
+        let straight = sim.runner(&trace).shards(4).run().expect("sharded run");
         for cut in [0u64, 1, 5, 17, trace.len() as u64 / 2, trace.len() as u64] {
             let ck = sim.checkpoint_after(&trace, 4, cut).expect("prefix");
-            let resumed = sim.resume_from(&trace, &ck, None).expect("resume");
+            let resumed = sim.runner(&trace).resume(&ck).run().expect("resume");
             assert_eq!(resumed, straight, "{protocol} sharded cut {cut}");
         }
     }
@@ -127,12 +129,14 @@ fn on_disk_checkpoints_roundtrip_and_resume() {
     let path = scratch("final.ckpt");
     let policy = CheckpointPolicy::new(13, &path);
     let supervised = sim
-        .run_resumable(&trace, 1, &policy)
+        .runner(&trace)
+        .shards(1)
+        .checkpoint(&policy)
+        .run()
         .expect("supervised run");
     assert_eq!(supervised, straight);
     let ck = Checkpoint::load(&path).expect("final snapshot loads");
-    assert!(ck.is_complete());
-    assert_eq!(ck.completed_records(), trace.len() as u64);
+    assert!(ck.is_complete() && ck.total_records() == trace.len() as u64);
 
     // A mid-run snapshot saved to disk resumes to the same result.
     let mid = sim
@@ -141,7 +145,7 @@ fn on_disk_checkpoints_roundtrip_and_resume() {
     mid.save(&path).expect("atomic save");
     let reloaded = Checkpoint::load(&path).expect("mid snapshot loads");
     assert!(!reloaded.is_complete());
-    let resumed = sim.resume_from(&trace, &reloaded, None).expect("resume");
+    let resumed = sim.runner(&trace).resume(&reloaded).run().expect("resume");
     assert_eq!(resumed, straight);
     std::fs::remove_file(&path).ok();
 }
@@ -160,14 +164,22 @@ fn resumed_runs_keep_checkpointing_at_the_same_boundaries() {
     let sim = DirectorySim::new(Protocol::Basic, &cfg).with_engine(test_engine());
     let path = scratch("cadence.ckpt");
     let policy = CheckpointPolicy::new(10, &path);
-    let straight = sim.run_resumable(&trace, 1, &policy).expect("supervised");
+    let straight = sim
+        .runner(&trace)
+        .shards(1)
+        .checkpoint(&policy)
+        .run()
+        .expect("supervised");
     let uninterrupted_final = Checkpoint::load(&path).expect("final snapshot");
 
     let mid = sim
         .checkpoint_after(&trace, 1, 25)
         .expect("killed at record 25");
     let resumed = sim
-        .resume_from(&trace, &mid, Some(&policy))
+        .runner(&trace)
+        .resume(&mid)
+        .checkpoint(&policy)
+        .run()
         .expect("resume with policy");
     assert_eq!(resumed, straight);
     let resumed_final = Checkpoint::load(&path).expect("final snapshot after resume");
@@ -238,7 +250,7 @@ fn checkpoints_cross_engines_bit_exactly() {
         for cut in [0u64, 1, 7, trace.len() as u64 / 2, trace.len() as u64] {
             for (capture, resume) in [(&reference, &fast), (&fast, &reference)] {
                 let ck = capture.checkpoint_after(&trace, 1, cut).expect("prefix");
-                let resumed = resume.resume_from(&trace, &ck, None).expect("resume");
+                let resumed = resume.runner(&trace).resume(&ck).run().expect("resume");
                 assert_eq!(
                     resumed,
                     straight,
@@ -308,7 +320,10 @@ fn telemetry_attached_resume_stays_bit_exact() {
                 .map(|_| shared(TelemetrySink::new(&plane, DEFAULT_PUBLISH_EVERY)).1)
                 .collect();
             let resumed = sim
-                .resume_from_with_sinks(&trace, &ck, None, &sinks)
+                .runner(&trace)
+                .resume(&ck)
+                .sinks(&sinks)
+                .run()
                 .expect("instrumented resume");
             assert_eq!(
                 resumed, straight,

@@ -11,8 +11,8 @@
 //! `mcc-core` unit tests.
 
 use mcc::core::supervision_test_hooks as hooks;
-use mcc::core::{DirectorySim, DirectorySimConfig, Protocol, SimError};
-use mcc::trace::{Addr, MemRef, NodeId, Trace};
+use mcc::core::{DirectorySim, DirectorySimConfig, Protocol, RunInput, SimError};
+use mcc::trace::{Addr, MemRef, NodeId, Trace, TraceStream};
 
 const SHARDS: usize = 4;
 
@@ -44,65 +44,77 @@ fn shard_panic_is_isolated_and_others_salvaged() {
     let _guard = PoisonGuard;
     const POISONED: u32 = 2;
 
-    hooks::poison_shard(POISONED);
-
     let trace = busy_trace();
+    let records: Vec<MemRef> = trace.iter().copied().collect();
+    let stream = TraceStream::from_generator(records.len() as u64, move |i| records[i as usize]);
     let cfg = DirectorySimConfig {
         nodes: 4,
         ..DirectorySimConfig::default()
     };
     let sim = DirectorySim::new(Protocol::Basic, &cfg);
-    let report = sim
-        .run_supervised(&trace, SHARDS, None)
-        .expect("sharding is supported for this configuration");
-    hooks::clear_poison();
-
-    // Exactly the poisoned shard failed, and it failed as a panic.
-    let failed = report.failed_shards();
-    assert_eq!(
-        failed.len(),
-        1,
-        "only the poisoned shard may fail: {failed:?}"
-    );
-    let (shard, err) = (failed[0].0, failed[0].1);
-    assert_eq!(shard, POISONED);
-    match err {
-        SimError::ShardPanicked { shard, message } => {
-            assert_eq!(*shard, POISONED);
-            assert!(message.contains("poisoned"), "{message}");
-        }
-        other => panic!("expected ShardPanicked, got {other:?}"),
-    }
-    assert!(!report.all_completed());
-
-    // The strict merge reports the panic; the salvage keeps the three
-    // healthy shards' counters — identical to the same shards of a
-    // clean run.
-    assert!(matches!(
-        report.merged(),
-        Err(SimError::ShardPanicked { .. })
-    ));
     let clean = DirectorySim::new(Protocol::Basic, &cfg)
         .run_supervised(&busy_trace(), SHARDS, None)
         .expect("clean supervised run");
     assert!(clean.all_completed());
-    for (id, outcome) in report.outcomes().iter().enumerate() {
-        if id as u32 == POISONED {
-            continue;
-        }
+
+    for input in [RunInput::Trace(&trace), RunInput::Stream(&stream)] {
+        hooks::poison_shard(POISONED);
+        let report = sim
+            .runner(input)
+            .shards(SHARDS)
+            .supervise()
+            .expect("sharding is supported for this configuration");
+        let strict = sim.runner(input).shards(SHARDS).run();
+        hooks::clear_poison();
+
+        // Exactly the poisoned shard failed, and it failed as a panic.
+        let failed = report.failed_shards();
         assert_eq!(
-            outcome.as_ref().expect("surviving shard completed"),
-            clean.outcomes()[id].as_ref().unwrap(),
-            "shard {id} diverged from the clean run"
+            failed.len(),
+            1,
+            "{input:?}: only the poisoned shard may fail: {failed:?}"
         );
+        let (shard, err) = (failed[0].0, failed[0].1);
+        assert_eq!(shard, POISONED);
+        match err {
+            SimError::ShardPanicked { shard, message } => {
+                assert_eq!(*shard, POISONED);
+                assert!(message.contains("poisoned"), "{message}");
+            }
+            other => panic!("expected ShardPanicked, got {other:?}"),
+        }
+        assert!(!report.all_completed());
+
+        // The strict merge reports the panic — as does a plain sharded
+        // run, which must not take the caller down — while the salvage
+        // keeps the three healthy shards' counters, identical to the
+        // same shards of a clean run.
+        assert!(matches!(
+            report.merged(),
+            Err(SimError::ShardPanicked { .. })
+        ));
+        assert!(
+            matches!(strict, Err(SimError::ShardPanicked { .. })),
+            "{input:?}: {strict:?}"
+        );
+        for (id, outcome) in report.outcomes().iter().enumerate() {
+            if id as u32 == POISONED {
+                continue;
+            }
+            assert_eq!(
+                outcome.as_ref().expect("surviving shard completed"),
+                clean.outcomes()[id].as_ref().unwrap(),
+                "{input:?}: shard {id} diverged from the clean run"
+            );
+        }
+        let healthy_refs: u64 = report
+            .outcomes()
+            .iter()
+            .flatten()
+            .map(|r| r.events.refs())
+            .sum();
+        assert!(healthy_refs > 0, "salvage kept survivor work");
+        assert_eq!(report.salvaged().events.refs(), healthy_refs);
+        assert!(report.salvaged().events.refs() < clean.merged().unwrap().events.refs());
     }
-    let healthy_refs: u64 = report
-        .outcomes()
-        .iter()
-        .flatten()
-        .map(|r| r.events.refs())
-        .sum();
-    assert!(healthy_refs > 0, "salvage kept survivor work");
-    assert_eq!(report.salvaged().events.refs(), healthy_refs);
-    assert!(report.salvaged().events.refs() < clean.merged().unwrap().events.refs());
 }
